@@ -20,7 +20,8 @@ where d is the logarithmic-derivative combination implemented by ``d_at``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
+from functools import cached_property
 
 from . import linalg
 from .errors import (DegreeTooSmallError, NoSimpleRootsError,
@@ -28,15 +29,25 @@ from .errors import (DegreeTooSmallError, NoSimpleRootsError,
 from .fields import ExactScalar
 from .oracle import wf_contains, wf_form
 from .poly import FactoredInput, Poly
-from .zspace import ZProblem, z_report
+from .zspace import ZProblem, ZReport, z_report
 
 
 @dataclass(frozen=True)
 class RootGrouping:
+    """The roots of one input grouped by multiplicity, and the per-input
+    context every bridge quantity is derived from.
+
+    Each derived quantity (the expanded f, the multiple part, the root
+    products of d's quotient form, the interpolation problem's report) is
+    computed on first use and kept for the life of this object, so one
+    ``group_roots`` call serves a whole ``classify``.
+    """
+
     simple: tuple[ExactScalar, ...]
     double: tuple[ExactScalar, ...]
     higher: tuple[tuple[ExactScalar, int], ...]
     n: int
+    fi: FactoredInput = _field(compare=False, repr=False)
 
     @property
     def n1(self) -> int:
@@ -58,6 +69,35 @@ class RootGrouping:
     def mu(self) -> int:
         return self.r + 1 - self.n1
 
+    @cached_property
+    def f(self) -> Poly:
+        """The expanded input polynomial."""
+        return self.fi.expand()
+
+    @cached_property
+    def multiple_part(self) -> Poly:
+        """The fixed divisor f_beta * f_gamma^2 shared by every kernel member."""
+        factors = list(self.double) + [c for c, _ in self.higher for _ in range(2)]
+        return Poly.from_roots(self.fi.field, factors)
+
+    @cached_property
+    def quotient_parts(self) -> tuple[Poly, ...]:
+        """f_a', f_a'', f_b, f_b', ft, ft', f_c, f_c': the root products in the
+        quotient form of d (see ``d_at``) and their derivatives."""
+        field = self.fi.field
+        f_a = Poly.from_roots(field, self.simple)
+        f_b = Poly.from_roots(field, self.double)
+        f_c = Poly.from_roots(field, [c for c, _ in self.higher])
+        ft = Poly.from_roots(field, [c for c, mult in self.higher for _ in range(mult)])
+        da = f_a.derivative()
+        return (da, da.derivative(), f_b, f_b.derivative(), ft, ft.derivative(),
+                f_c, f_c.derivative())
+
+    @cached_property
+    def z_report(self) -> ZReport:
+        """The report on Z(delta, alpha; n1, r); needs simple roots."""
+        return z_report(to_z_problem(self))
+
 
 def group_roots(fi: FactoredInput) -> RootGrouping:
     if fi.degree < 4:
@@ -65,27 +105,29 @@ def group_roots(fi: FactoredInput) -> RootGrouping:
     simple = tuple(root for root, mult in fi.roots if mult == 1)
     double = tuple(root for root, mult in fi.roots if mult == 2)
     higher = tuple((root, mult) for root, mult in fi.roots if mult >= 3)
-    g = RootGrouping(simple=simple, double=double, higher=higher, n=fi.degree)
-    # Two expressions for r that must always coincide.
-    alt = g.n1 + (g.n2 - 2) + sum(mult - 2 for _, mult in higher)
-    assert g.r == alt, f"inconsistent root bookkeeping: {g.r} != {alt}"
-    return g
+    return RootGrouping(simple=simple, double=double, higher=higher, n=fi.degree, fi=fi)
 
 
-def simple_part(fi: FactoredInput) -> Poly:
+# The helpers below take a FactoredInput, or the RootGrouping of one to
+# reuse what it has already derived.
+
+
+def _grouping(fi: FactoredInput | RootGrouping) -> RootGrouping:
+    return fi if isinstance(fi, RootGrouping) else group_roots(fi)
+
+
+def simple_part(fi: FactoredInput | RootGrouping) -> Poly:
     """Monic product of (x - alpha) over the simple roots."""
-    g = group_roots(fi)
-    return Poly.from_roots(fi.field, g.simple)
+    g = _grouping(fi)
+    return Poly.from_roots(g.fi.field, g.simple)
 
 
-def multiple_part(fi: FactoredInput) -> Poly:
+def multiple_part(fi: FactoredInput | RootGrouping) -> Poly:
     """The fixed divisor f_beta * f_gamma^2 shared by every kernel member."""
-    g = group_roots(fi)
-    factors = list(g.double) + [c for c, _ in g.higher for _ in range(2)]
-    return Poly.from_roots(fi.field, factors)
+    return _grouping(fi).multiple_part
 
 
-def d_at(fi: FactoredInput, x0: ExactScalar) -> ExactScalar:
+def d_at(fi: FactoredInput | RootGrouping, x0: ExactScalar) -> ExactScalar:
     """d(x0) for a simple root x0, computed two independent ways.
 
     Root-sum form:      sum_{alpha_j != x0} 2/(x0-alpha_j)
@@ -95,12 +137,12 @@ def d_at(fi: FactoredInput, x0: ExactScalar) -> ExactScalar:
     root products and ft carries each higher root with its full multiplicity.
     Both are computed and must agree.
     """
-    g = group_roots(fi)
+    g = _grouping(fi)
     if x0 not in g.simple:
         if any(x0 == b for b in g.double) or any(x0 == c for c, _ in g.higher):
             raise PoleError(f"{x0} is a multiple root; d has a pole there")
         raise ValueError(f"{x0} is not a simple root")
-    field = fi.field
+    field = g.fi.field
     two = field.scalar(2)
     three = field.scalar(3)
 
@@ -113,28 +155,27 @@ def d_at(fi: FactoredInput, x0: ExactScalar) -> ExactScalar:
     for c, mult in g.higher:
         via_sums = via_sums + field.scalar(2 * (mult - 1)) / (x0 - c)
 
-    f_a = Poly.from_roots(field, g.simple)
-    f_b = Poly.from_roots(field, g.double)
-    f_c = Poly.from_roots(field, [c for c, _ in g.higher])
-    ft = Poly.from_roots(field, [c for c, mult in g.higher for _ in range(mult)])
-    via_quotients = f_a.derivative().derivative()(x0) / f_a.derivative()(x0)
+    da, dda, f_b, db, ft, dt, f_c, dc = g.quotient_parts
+    via_quotients = dda(x0) / da(x0)
     if g.double:
-        via_quotients = via_quotients + three * f_b.derivative()(x0) / f_b(x0)
+        via_quotients = via_quotients + three * db(x0) / f_b(x0)
     if g.higher:
         via_quotients = (via_quotients
-                         + two * ft.derivative()(x0) / ft(x0)
-                         - two * f_c.derivative()(x0) / f_c(x0))
-    assert via_sums == via_quotients, "the two forms of d disagree"
+                         + two * dt(x0) / ft(x0)
+                         - two * dc(x0) / f_c(x0))
+    if via_sums != via_quotients:
+        raise AssertionError(f"the two forms of d disagree at {x0}: "
+                             f"{via_sums} != {via_quotients}")
     return via_sums
 
 
-def delta_vector(fi: FactoredInput) -> tuple[ExactScalar, ...]:
+def delta_vector(fi: FactoredInput | RootGrouping) -> tuple[ExactScalar, ...]:
     """(d(alpha_1), ..., d(alpha_n1)) in the order the simple roots appear."""
-    g = group_roots(fi)
-    return tuple(d_at(fi, a) for a in g.simple)
+    g = _grouping(fi)
+    return tuple(d_at(g, a) for a in g.simple)
 
 
-def strip_multiple_part(fi: FactoredInput, p: Poly) -> Poly:
+def strip_multiple_part(fi: FactoredInput | RootGrouping, p: Poly) -> Poly:
     """Divide a kernel member by f_beta * f_gamma^2 (exact, by the divisibility lemma)."""
     m = multiple_part(fi)
     try:
@@ -145,25 +186,26 @@ def strip_multiple_part(fi: FactoredInput, p: Poly) -> Poly:
             "it cannot be a kernel member") from None
 
 
-def attach_multiple_part(fi: FactoredInput, q: Poly) -> Poly:
+def attach_multiple_part(fi: FactoredInput | RootGrouping, q: Poly) -> Poly:
     """Multiply by f_beta * f_gamma^2 and verify the result lies in the kernel."""
-    p = q * multiple_part(fi)
-    if not wf_contains(fi.expand(), p):
+    g = _grouping(fi)
+    p = q * g.multiple_part
+    if not wf_contains(g.f, p):
         raise ValueError("attaching the multiple-root factor did not produce a kernel member; "
                          "the cofactor must satisfy the simple-root conditions")
     return p
 
 
-def to_z_problem(fi: FactoredInput) -> ZProblem:
+def to_z_problem(fi: FactoredInput | RootGrouping) -> ZProblem:
     """Z(delta, alpha; n1, r) — defined only when f has simple roots."""
-    g = group_roots(fi)
+    g = _grouping(fi)
     if g.n1 == 0:
         raise NoSimpleRootsError("no simple roots: the kernel is described directly, "
                                  "not by an interpolation problem")
-    return ZProblem(eta=delta_vector(fi), omega=g.simple, k=g.r)
+    return ZProblem(eta=delta_vector(g), omega=g.simple, k=g.r)
 
 
-def multiplicity_reduction_check(fi: FactoredInput, p: Poly) -> bool:
+def multiplicity_reduction_check(fi: FactoredInput | RootGrouping, p: Poly) -> bool:
     """Check the per-root divisibility equivalences behind the bridge.
 
     For R = f''p - f'p' and deg p <= n-2:
@@ -171,12 +213,11 @@ def multiplicity_reduction_check(fi: FactoredInput, p: Poly) -> bool:
       at each higher root gamma:   (x-gamma)^k | R  <=>  (x-gamma)^2 | p.
     Returns True iff every equivalence holds (it must, for every valid p).
     """
-    g = group_roots(fi)
-    if p.degree > fi.degree - 2:
+    g = _grouping(fi)
+    if p.degree > g.n - 2:
         raise ValueError("degree of p exceeds n - 2")
-    field = fi.field
-    f = fi.expand()
-    big_r = wf_form(f, p)
+    field = g.fi.field
+    big_r = wf_form(g.f, p)
     ok = True
     for b in g.double:
         lhs = Poly.from_roots(field, [b, b]).divides(big_r)
@@ -189,7 +230,7 @@ def multiplicity_reduction_check(fi: FactoredInput, p: Poly) -> bool:
     return ok
 
 
-def structural_kernel(fi: FactoredInput) -> tuple[int, tuple[Poly, ...]]:
+def structural_kernel(fi: FactoredInput | RootGrouping) -> tuple[int, tuple[Poly, ...]]:
     """Kernel dimension and canonical basis via the root structure.
 
     With no simple roots the kernel is exactly f_beta*f_gamma^2 * P_r, so the
@@ -197,21 +238,20 @@ def structural_kernel(fi: FactoredInput) -> tuple[int, tuple[Poly, ...]]:
     and attach the fixed factor to each solution.  Every reported basis
     element is verified against the defining divisibility.
     """
-    g = group_roots(fi)
-    field = fi.field
-    n = fi.degree
-    m = multiple_part(fi)
+    g = _grouping(fi)
+    field = g.fi.field
+    n = g.n
+    m = g.multiple_part
     if g.n1 == 0:
         members = [m * Poly.x(field) ** j for j in range(g.r + 1)]
-        f = fi.expand()
         for p in members:
-            if not wf_contains(f, p):
+            if not wf_contains(g.f, p):
                 raise AssertionError(f"structural basis element {p} fails the divisibility")
     else:
-        rep = z_report(to_z_problem(fi))
-        members = [attach_multiple_part(fi, q) for q in rep.basis]
+        members = [attach_multiple_part(g, q) for q in g.z_report.basis]
     vectors = [p.padded(n - 1) for p in members]
     canonical = linalg.canonical_rows(vectors, n - 1, field)
     basis = tuple(Poly(field, v) for v in canonical)
-    assert len(basis) == len(members), "independent members collapsed under reduction"
+    if len(basis) != len(members):
+        raise AssertionError("independent members collapsed under reduction")
     return len(basis), basis

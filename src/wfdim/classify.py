@@ -23,12 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .bridge import (RootGrouping, group_roots, structural_kernel, to_z_problem)
+# to_z_problem and z_report are not called here, but stay importable from this
+# module: the layer tracer in wfbench/tracing.py wraps them under these names.
+from .bridge import RootGrouping, group_roots, structural_kernel, to_z_problem  # noqa: F401
 from .errors import CoincidentPointsError, PoleError, RouteDisagreementError
 from .fields import ExactScalar, Field
 from .oracle import wf_kernel
 from .poly import FactoredInput, Poly
-from .zspace import min_drop_dimension, z_report
+from .zspace import min_drop_dimension, z_report  # noqa: F401
 
 CASE_N1_ZERO = "N1Zero"
 CASE_SMALL_N1 = "SmallN1"
@@ -60,16 +62,16 @@ def classify(fi: FactoredInput) -> WfReport:
     Raises RouteDisagreementError if the routes differ (they never should),
     DegreeTooSmallError below degree 4.
     """
-    kernel = wf_kernel(fi.expand())
     g = group_roots(fi)
-    dim_structural, basis_structural = structural_kernel(fi)
+    kernel = wf_kernel(g.f)
+    dim_structural, basis_structural = structural_kernel(g)
 
     if g.n1 == 0:
         case_tag = CASE_N1_ZERO
         dim_theorem: int | None = g.r + 1
         degenerate = False
     else:
-        report = z_report(to_z_problem(fi))
+        report = g.z_report
         degenerate = report.degenerate
         if g.n1 <= 3:
             case_tag, dim_theorem = CASE_SMALL_N1, g.mu

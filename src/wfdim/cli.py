@@ -8,10 +8,8 @@ below 4, 4 route disagreement (an implementation bug, never expected).
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
-import time
 from fractions import Fraction
 
 from .classify import classify
@@ -55,7 +53,6 @@ def build_dim_report(spec: InputSpec) -> dict:
     The roots form runs every route through the classifier; the coefficients
     form cannot see multiplicities exactly, so it runs the kernel oracle only.
     """
-    started = time.perf_counter()
     if spec.roots is not None:
         fi = factored_from_spec(spec)
         report = classify(fi)
@@ -97,7 +94,6 @@ def build_dim_report(spec: InputSpec) -> dict:
     envelope["basis"] = [poly_to_wire(p) for p in basis]
     envelope["basis_pretty"] = [str(p) for p in basis]
     envelope["routes_agree"] = True
-    envelope["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
     return envelope
 
 
@@ -130,13 +126,10 @@ def _cmd_dim(args) -> int:
         raise ParseError(f"cannot read {args.spec}: {err}") from err
     spec = parse_input_spec(text)
     envelope = build_dim_report(spec)
-    fmt = "text" if args.pretty else args.format
-    if fmt == "json":
+    if args.format == "json" and not args.pretty:
         sys.stdout.write(canonical_json(envelope))
-    elif fmt == "text":
-        sys.stdout.write(_render_dim_text(envelope))
     else:
-        raise ParseError(f"dim has no {fmt} format")
+        sys.stdout.write(_render_dim_text(envelope))
     return EXIT_OK
 
 
@@ -288,18 +281,15 @@ def _cmd_zdim(args) -> int:
         "basis": [poly_to_wire(p) for p in report.basis],
         "basis_pretty": [str(p) for p in report.basis],
     }
-    fmt = "text" if args.pretty else args.format
-    if fmt == "json":
+    if args.format == "json" and not args.pretty:
         sys.stdout.write(canonical_json(payload))
-    elif fmt == "text":
+    else:
         lines = [
             f"nodes {problem.s}  degree cap {problem.k}",
             f"rank {report.rank}  dim {report.dimension}  degenerate {report.degenerate}",
         ]
         lines += [f"basis  {text}" for text in payload["basis_pretty"]]
         sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        raise ParseError(f"zdim has no {fmt} format")
     return EXIT_OK
 
 
@@ -314,24 +304,17 @@ def _build_parser() -> argparse.ArgumentParser:
             "{p : deg p <= deg f - 2, f | f''p - f'p'}."
         ),
     )
-    parser.add_argument(
-        "--precision-bits",
-        type=int,
-        default=None,
-        help="precision for the approximate backend (env WFDIM_PRECISION_BITS, default 128)",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     dim = commands.add_parser("dim", help="dimension report for one input file")
     dim.add_argument("spec", help="path to a JSON input spec")
     dim.add_argument("--pretty", action="store_true", help="human-readable output")
-    dim.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    dim.add_argument("--format", choices=("json", "text"), default="json")
     dim.set_defaults(func=_cmd_dim)
 
     table = commands.add_parser("table", help="regenerate the degree-4..6 survey table")
     table.add_argument("--pretty", action="store_true", help="aligned text output")
     table.add_argument("--format", choices=("json", "csv", "text"), default="csv")
-    table.add_argument("--seed", type=int, default=0, help="unused; accepted for uniformity")
     table.set_defaults(func=_cmd_table)
 
     verify = commands.add_parser("verify", help="run the property suites")
@@ -354,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     zdim.add_argument("-k", "--k", type=int, required=True, dest="k", help="degree cap")
     zdim.add_argument("--d", type=int, default=None, help="work over Q(sqrt(d))")
     zdim.add_argument("--pretty", action="store_true", help="human-readable output")
-    zdim.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    zdim.add_argument("--format", choices=("json", "text"), default="json")
     zdim.set_defaults(func=_cmd_zdim)
 
     return parser
@@ -362,11 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.precision_bits is not None:
-        if args.precision_bits < 64:
-            print("error: --precision-bits must be >= 64", file=sys.stderr)
-            return EXIT_PARSE
-        os.environ["WFDIM_PRECISION_BITS"] = str(args.precision_bits)
     try:
         return args.func(args)
     except DegreeTooSmallError as err:

@@ -15,7 +15,6 @@ real for d > 0, positive imaginary for d < 0.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Union
 
@@ -28,16 +27,8 @@ RationalLike = Union[int, Fraction]
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 64
 
-
-def default_precision_bits() -> int:
-    """Precision for the approximate backend, overridable via WFDIM_PRECISION_BITS."""
-    raw = os.environ.get("WFDIM_PRECISION_BITS")
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    bits = int(raw)
-    if bits < MIN_PRECISION_BITS:
-        raise ValueError(f"WFDIM_PRECISION_BITS must be >= {MIN_PRECISION_BITS}, got {bits}")
-    return bits
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _is_squarefree(n: int) -> bool:
@@ -51,11 +42,20 @@ def _is_squarefree(n: int) -> bool:
 
 
 class Field:
-    """Descriptor for Q (d is None) or Q(sqrt(d)) (d squarefree, not 0 or 1)."""
+    """Descriptor for Q (d is None) or Q(sqrt(d)) (d squarefree, not 0 or 1).
 
-    __slots__ = ("d",)
+    Fields are interned: ``Field(d)`` returns the same object for the same d,
+    so scalar arithmetic can test "same field" by identity.
+    """
 
-    def __init__(self, d: int | None = None):
+    __slots__ = ("d", "_zero", "_one")
+
+    _interned: dict = {}
+
+    def __new__(cls, d: int | None = None):
+        field = cls._interned.get(d) if d is None or type(d) is int else None
+        if field is not None:
+            return field
         if d is not None:
             if not isinstance(d, int):
                 raise TypeError(f"d must be an int, got {type(d).__name__}")
@@ -63,7 +63,12 @@ class Field:
                 raise ValueError("d must not be 0 or 1")
             if not _is_squarefree(d):
                 raise ValueError(f"d must be squarefree, got {d}")
-        object.__setattr__(self, "d", d)
+            d = int(d)
+        field = object.__new__(cls)
+        object.__setattr__(field, "d", d)
+        object.__setattr__(field, "_zero", _scalar(field, _ZERO))
+        object.__setattr__(field, "_one", _scalar(field, _ONE))
+        return cls._interned.setdefault(d, field)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
@@ -84,10 +89,10 @@ class Field:
         return ExactScalar(self, Fraction(a), Fraction(b))
 
     def zero(self) -> "ExactScalar":
-        return self.scalar(0)
+        return self._zero
 
     def one(self) -> "ExactScalar":
-        return self.scalar(1)
+        return self._one
 
     def sqrt_generator(self) -> "ExactScalar":
         """The element sqrt(d); undefined over the plain rationals."""
@@ -96,7 +101,7 @@ class Field:
         return self.scalar(0, 1)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Field) and self.d == other.d
+        return self is other or (isinstance(other, Field) and self.d == other.d)
 
     def __hash__(self) -> int:
         return hash(("Field", self.d))
@@ -110,7 +115,7 @@ class ExactScalar:
 
     __slots__ = ("field", "a", "b")
 
-    def __init__(self, field: Field, a: Fraction, b: Fraction = Fraction(0)):
+    def __init__(self, field: Field, a: Fraction, b: Fraction = _ZERO):
         if field.is_rational and b != 0:
             raise ValueError("rational-field scalars carry no sqrt part")
         object.__setattr__(self, "field", field)
@@ -124,39 +129,41 @@ class ExactScalar:
 
     def _coerce(self, other) -> "ExactScalar":
         if isinstance(other, ExactScalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(f"{self.field!r} vs {other.field!r}")
             return other
         if isinstance(other, (int, Fraction)):
-            return ExactScalar(self.field, Fraction(other))
+            return _scalar(self.field, Fraction(other))
         return NotImplemented
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.a and not self.b
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     # -- ring operations ----------------------------------------------------
+    # Results come from ``_scalar``, which skips validation.  Over Q the sqrt
+    # part is always zero and is not computed.
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return ExactScalar(self.field, self.a + o.a, self.b + o.b)
+        return _scalar(self.field, self.a + o.a, _ZERO if self.field.d is None else self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(self.field, -self.a, -self.b)
+        return _scalar(self.field, -self.a, _ZERO if self.field.d is None else -self.b)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return ExactScalar(self.field, self.a - o.a, self.b - o.b)
+        return _scalar(self.field, self.a - o.a, _ZERO if self.field.d is None else self.b - o.b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -168,14 +175,14 @@ class ExactScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.field.is_rational:
-            return ExactScalar(self.field, self.a * o.a)
         d = self.field.d
-        return ExactScalar(
-            self.field,
-            self.a * o.a + d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-        )
+        if d is None:
+            return _scalar(self.field, self.a * o.a)
+        if not o.b:
+            return _scalar(self.field, self.a * o.a, self.b * o.a)
+        if not self.b:
+            return _scalar(self.field, self.a * o.a, self.a * o.b)
+        return _scalar(self.field, self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
 
@@ -186,13 +193,13 @@ class ExactScalar:
         return self.a * self.a - self.field.d * self.b * self.b
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.field, self.a, -self.b)
+        return _scalar(self.field, self.a, -self.b)
 
     def inverse(self) -> "ExactScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         n = self.norm()
-        return ExactScalar(self.field, self.a / n, -self.b / n)
+        return _scalar(self.field, self.a / n, -self.b / n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -268,6 +275,16 @@ class ExactScalar:
     def is_composite_display(self) -> bool:
         """True when rendering needs parentheses inside a polynomial term."""
         return self.b != 0 and self.a != 0
+
+
+def _scalar(field: Field, a: Fraction, b: Fraction = _ZERO) -> ExactScalar:
+    """An arithmetic result: operands were valid, so b is zero over Q and
+    the checks in ``ExactScalar.__init__`` are skipped."""
+    x = object.__new__(ExactScalar)
+    object.__setattr__(x, "field", field)
+    object.__setattr__(x, "a", a)
+    object.__setattr__(x, "b", b)
+    return x
 
 
 class ApproxScalar:
@@ -351,7 +368,7 @@ def embed_to_approx(x: ExactScalar, precision_bits: int | None = None) -> Approx
     A field homomorphism up to rounding: the result is within relative error
     2^(1-precision_bits) of the true complex value.
     """
-    bits = default_precision_bits() if precision_bits is None else precision_bits
+    bits = DEFAULT_PRECISION_BITS if precision_bits is None else precision_bits
     if bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
     # Construct with guard bits, round once at the target precision.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .fields import MIN_PRECISION_BITS, ExactScalar, Field
+from .fields import ExactScalar, Field
 from .poly import FactoredInput, Poly
 
 __all__ = [
@@ -136,10 +136,9 @@ class InputSpec:
     roots: tuple[tuple[ExactScalar, int], ...] | None
     leading: ExactScalar | None
     coefficients: tuple[ExactScalar, ...] | None
-    precision_bits: int | None
 
 
-_SPEC_KEYS = {"field", "roots", "leading", "coefficients", "precision_bits"}
+_SPEC_KEYS = {"field", "roots", "leading", "coefficients"}
 
 
 def parse_input_spec(text: str | bytes) -> InputSpec:
@@ -160,13 +159,6 @@ def parse_input_spec(text: str | bytes) -> InputSpec:
     has_coeffs = "coefficients" in data
     if has_roots == has_coeffs:
         raise ParseError("input spec needs exactly one of 'roots' or 'coefficients'")
-
-    precision_bits = data.get("precision_bits")
-    if precision_bits is not None:
-        if not isinstance(precision_bits, int) or isinstance(precision_bits, bool):
-            raise ParseError(f"precision_bits must be an integer, got {precision_bits!r}")
-        if precision_bits < MIN_PRECISION_BITS:
-            raise ParseError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
 
     if has_roots:
         raw = data["roots"]
@@ -195,7 +187,6 @@ def parse_input_spec(text: str | bytes) -> InputSpec:
             roots=tuple(roots),
             leading=leading,
             coefficients=None,
-            precision_bits=precision_bits,
         )
 
     if "leading" in data:
@@ -211,7 +202,6 @@ def parse_input_spec(text: str | bytes) -> InputSpec:
         roots=None,
         leading=None,
         coefficients=coefficients,
-        precision_bits=precision_bits,
     )
 
 
@@ -223,8 +213,6 @@ def input_spec_to_wire(spec: InputSpec) -> dict:
         wire["leading"] = scalar_to_wire(spec.leading)
     else:
         wire["coefficients"] = [scalar_to_wire(c) for c in spec.coefficients]
-    if spec.precision_bits is not None:
-        wire["precision_bits"] = spec.precision_bits
     return wire
 
 

@@ -52,12 +52,23 @@ def wf_kernel(f: Poly) -> WfKernel:
         raise DegreeTooSmallError(f"need deg f >= 4, got {f.degree}")
     n = f.degree
     field = f.field
-    # Column j holds the coefficients of (f''*x^j - f'*(x^j)') mod f.
-    columns = []
-    for j in range(n - 1):
-        monomial = Poly(field, [0] * j + [1])
-        rem = wf_form(f, monomial) % f
-        columns.append(rem.padded(n))
+    lead_inv = f.leading.inverse()
+
+    def times_x(v):
+        """x*v mod f, on the n coefficients of v."""
+        shifted = [field.zero()] + v[:-1]
+        q = v[-1] * lead_inv
+        return [s - q * c for s, c in zip(shifted, f.coeffs)] if q else shifted
+
+    # Column j holds the coefficients of (x^j*f'' - j*x^(j-1)*f') mod f,
+    # from x^j*f'' mod f and x^(j-1)*f' mod f, each advanced by times_x.
+    d1 = f.derivative()
+    high, low = d1.derivative().padded(n), d1.padded(n)
+    columns = [high]
+    for j in range(1, n - 1):
+        high = times_x(high)
+        columns.append([h - j * g for h, g in zip(high, low)])
+        low = times_x(low)
     rows = [[columns[j][i] for j in range(n - 1)] for i in range(n)]
     kernel_vectors = linalg.nullspace(rows, n - 1, field)
     canonical = linalg.canonical_rows(kernel_vectors, n - 1, field)

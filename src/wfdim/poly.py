@@ -40,7 +40,7 @@ class Poly:
     @staticmethod
     def _lift(field: Field, c: ScalarLike) -> ExactScalar:
         if isinstance(c, ExactScalar):
-            if c.field != field:
+            if c.field is not field and c.field != field:
                 raise FieldMismatchError(f"{field!r} vs {c.field!r}")
             return c
         if isinstance(c, (int, Fraction)):
@@ -118,7 +118,7 @@ class Poly:
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(f"{self.field!r} vs {other.field!r}")
             return other
         if isinstance(other, (ExactScalar, int, Fraction)):

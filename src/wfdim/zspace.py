@@ -114,8 +114,10 @@ def z_report(z: ZProblem) -> ZReport:
         if not z_contains(z, p):
             raise AssertionError(f"basis element {p} fails its defining conditions")
     if z.k >= z.s - 1 and not (z.k == 0 and all(e.is_zero() for e in z.eta)):
-        assert rk >= 1, "associated matrix cannot vanish identically here"
-        assert z.k + 1 - z.s <= dim <= z.k, f"bounds violated: dim={dim}, s={z.s}, k={z.k}"
+        if rk < 1:
+            raise AssertionError("associated matrix cannot vanish identically here")
+        if not z.k + 1 - z.s <= dim <= z.k:
+            raise AssertionError(f"bounds violated: dim={dim}, s={z.s}, k={z.k}")
     return ZReport(problem=z, matrix=matrix, rank=rk,
                    dimension=dim, degenerate=degenerate, basis=basis)
 

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import importlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from wfdim import CoincidentPointsError, Field, Poly
+import wfdim
+from wfdim import CoincidentPointsError, Field, Poly, bridge, poly
 from wfdim.bridge import group_roots, to_z_problem
 from wfdim.classify import (appendix_h_check, classify, cubic_discriminant,
                             d_pair_form, exceptional_cubics,
@@ -73,6 +79,65 @@ def test_quartic_simple_root_case_uses_the_minimum_drop_rule():
         seen += 1
         assert classify(fi).dimension == min_drop_dimension(to_z_problem(fi))
     assert seen > 0
+
+
+def test_one_classify_call_derives_each_input_quantity_once(monkeypatch):
+    # Wrapped in every namespace they are looked up from, as the layer
+    # tracer does.
+    counts = {"expand": 0, "to_z_problem": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(poly.FactoredInput, "expand",
+                        counting("expand", poly.FactoredInput.expand))
+    wrapped = counting("to_z_problem", bridge.to_z_problem)
+    monkeypatch.setattr(bridge, "to_z_problem", wrapped)
+    monkeypatch.setattr(importlib.import_module("wfdim.classify"), "to_z_problem", wrapped)
+    s3 = ROOT3.sqrt_generator()
+    inputs = [
+        factored([(0, 5)]),
+        factored([(0, 4), (1, 1)]),
+        factored([(0, 4), (1, 1), (2, 1), (3, 1), (4, 1)]),
+        FactoredInput(ROOT3, [(s3, 2), (-s3, 1), (ROOT3.scalar(1), 1), (ROOT3.scalar(2), 3)]),
+    ]
+    for fi in inputs:
+        counts.update(expand=0, to_z_problem=0)
+        report = classify(fi)
+        assert counts["expand"] == 1, fi
+        assert counts["to_z_problem"] == (1 if report.grouping.n1 else 0), fi
+
+
+_CORRUPTED_D = """
+import sys
+from wfdim import Field, classify
+from wfdim.poly import FactoredInput, Poly
+
+if __debug__:
+    sys.exit("expected to run under python -O")
+honest = Poly.__call__
+Poly.__call__ = lambda self, point: honest(self, point) + 2  # breaks d's quotient form
+Q = Field.rationals()
+try:
+    classify(FactoredInput(Q, [(Q.scalar(0), 4), (Q.scalar(1), 1), (Q.scalar(2), 1)]))
+except AssertionError as err:
+    print(err)
+    sys.exit(0)
+sys.exit("classify returned although the two forms of d disagree")
+"""
+
+
+def test_disagreeing_forms_of_d_are_caught_under_python_O():
+    src = str(Path(wfdim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_D],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert "the two forms of d disagree" in run.stdout
 
 
 # -- pairwise node-data forms ------------------------------------------------------

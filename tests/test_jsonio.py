@@ -154,13 +154,3 @@ def test_malformed_specs_are_rejected(payload):
     text = payload if isinstance(payload, str) else canonical_json(payload)
     with pytest.raises(ParseError):
         parse_input_spec(text)
-
-
-def test_precision_request_survives_parsing():
-    spec = parse_input_spec(canonical_json({
-        "field": {"kind": "quadratic", "d": 3},
-        "roots": [[["quad", "0", "1", "1", "3"], 1], [["rat", "0", "1"], 4]],
-        "precision_bits": 192,
-    }))
-    assert spec.precision_bits == 192
-    assert spec.field == ROOT3

@@ -42,6 +42,24 @@ def test_degenerate_or_square_bearing_discriminants_rejected(d):
 def test_discriminant_must_be_an_integer():
     with pytest.raises(TypeError):
         Field.quadratic(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        Field.quadratic(3.0)  # equal to an interned d, still not an int
+
+
+def test_fields_are_interned_per_discriminant():
+    assert Field.quadratic(3) is Field.quadratic(3) is ROOT3
+    assert Field.rationals() is Field() is RATIONALS
+
+
+def test_fields_and_scalars_stay_immutable():
+    with pytest.raises(AttributeError):
+        ROOT3.d = 5
+    built = ROOT3.scalar(1, 2)
+    for x in (built, built + built, built * built, built.inverse(), -built,
+              RATIONALS.scalar(3) - 1):
+        for name in ("field", "a", "b"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, Fraction(0))
 
 
 def test_fields_compare_by_discriminant():
@@ -115,6 +133,31 @@ def test_mixed_field_arithmetic_is_rejected():
         ROOT3.one() + GAUSS.one()
     with pytest.raises(FieldMismatchError):
         ROOT3.one() * GAUSS.sqrt_generator()
+
+
+OPERATIONS = ("__add__", "__radd__", "__sub__", "__rsub__",
+              "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+@pytest.mark.parametrize("name", OPERATIONS)
+@pytest.mark.parametrize("left, right", [
+    (ROOT3.scalar(1, 2), GAUSS.scalar(1, 2)),
+    (RATIONALS.scalar(2), ROOT3.scalar(2)),   # equal values, b = 0 on both
+], ids=["sqrt3-vs-gauss", "rationals-vs-sqrt3"])
+def test_every_operation_rejects_mixed_fields(name, left, right):
+    with pytest.raises(FieldMismatchError):
+        getattr(left, name)(right)
+    with pytest.raises(FieldMismatchError):
+        getattr(right, name)(left)
+
+
+@given(x=scalars(RATIONALS), y=scalars(RATIONALS))
+def test_rational_results_keep_a_zero_sqrt_part(x, y):
+    results = [x + y, x - y, x * y, -x, y - 1, 1 - y]
+    if not y.is_zero():
+        results += [x / y, y.inverse()]
+    for z in results:
+        assert z.field is RATIONALS and z.b == 0
 
 
 @given(x=scalars(ROOT3), q=fractions)
