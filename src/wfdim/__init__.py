@@ -5,47 +5,12 @@
 computed three ways that must always agree: a brute-force kernel oracle, a
 reduction to a derivative-interpolation problem at the simple roots, and the
 closed-form classification by multiplicity configuration.
+
+The top level holds the entry points; everything else is imported from its
+submodule (``wfdim.bridge``, ``wfdim.zspace``, ``wfdim.approx``, ...).
 """
 
-from .bridge import (
-    RootGrouping,
-    attach_multiple_part,
-    d_at,
-    delta_vector,
-    group_roots,
-    multiple_part,
-    multiplicity_reduction_check,
-    simple_part,
-    strip_multiple_part,
-    structural_kernel,
-    to_z_problem,
-)
-from .classify import (
-    CertifiedFamily,
-    SymmetricCheck,
-    WfReport,
-    appendix_h_check,
-    classify,
-    cubic_discriminant,
-    d_pair_form,
-    dtilde_at,
-    dtilde_fraction,
-    exceptional_cubics,
-    leading_coeff_dtilde,
-    pair_numerator_coeffs,
-    verify_det_identities,
-)
-from .constructions import (
-    CongruenceTarget,
-    HermiteData,
-    QDecomposition,
-    crt_construct,
-    ev_kernel_dim,
-    hermite_basis,
-    partial_fraction_inverse,
-    partial_fractions_q,
-)
-from .corpus import table_rows
+from .classify import WfReport, classify
 from .errors import (
     CoincidentPointsError,
     DegreeTooSmallError,
@@ -57,91 +22,25 @@ from .errors import (
     PoleError,
     RouteDisagreementError,
 )
-from .fields import ApproxScalar, ExactScalar, Field, embed_to_approx
-from .oracle import WfKernel, wf_contains, wf_form, wf_kernel
-from .poly import FactoredInput, Poly, wronskian
-from .suites import SUITE_NAMES, SuiteResult, run_suites
-from .zspace import (
-    ZProblem,
-    ZReport,
-    affine_transport,
-    associated_matrix,
-    critical_eta,
-    drop_node,
-    min_drop_dimension,
-    transport_member,
-    z_contains,
-    z_report,
-)
+from .fields import Field
+from .poly import FactoredInput, Poly
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxScalar",
-    "CertifiedFamily",
     "CoincidentPointsError",
-    "CongruenceTarget",
     "DegreeTooSmallError",
-    "ExactScalar",
     "FactoredInput",
     "Field",
     "FieldMismatchError",
-    "HermiteData",
     "HypothesisError",
     "NoSimpleRootsError",
     "NotDivisibleError",
     "ParseError",
     "PoleError",
     "Poly",
-    "QDecomposition",
-    "RootGrouping",
     "RouteDisagreementError",
-    "SUITE_NAMES",
-    "SuiteResult",
-    "SymmetricCheck",
-    "WfKernel",
     "WfReport",
-    "ZProblem",
-    "ZReport",
-    "affine_transport",
-    "appendix_h_check",
-    "associated_matrix",
-    "attach_multiple_part",
     "classify",
-    "critical_eta",
-    "crt_construct",
-    "cubic_discriminant",
-    "d_at",
-    "d_pair_form",
-    "delta_vector",
-    "drop_node",
-    "dtilde_at",
-    "dtilde_fraction",
-    "embed_to_approx",
-    "ev_kernel_dim",
-    "exceptional_cubics",
-    "group_roots",
-    "hermite_basis",
-    "leading_coeff_dtilde",
-    "min_drop_dimension",
-    "multiple_part",
-    "multiplicity_reduction_check",
-    "pair_numerator_coeffs",
-    "partial_fraction_inverse",
-    "partial_fractions_q",
-    "run_suites",
-    "simple_part",
-    "strip_multiple_part",
-    "structural_kernel",
-    "table_rows",
-    "to_z_problem",
-    "transport_member",
-    "verify_det_identities",
-    "wf_contains",
-    "wf_form",
-    "wf_kernel",
-    "wronskian",
-    "z_contains",
-    "z_report",
     "__version__",
 ]

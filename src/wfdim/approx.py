@@ -5,6 +5,9 @@ roots of an irreducible cubic (one certified family is) are handled here
 instead: polynomial arithmetic over mpmath complex coefficients, with rank
 decisions made by scaled-pivot elimination against a relative threshold and
 accepted only when two working precisions agree.
+
+``embed_to_approx`` maps an exact scalar into this backend, taking sqrt(d) on
+the principal branch: positive real for d > 0, positive imaginary for d < 0.
 """
 
 from __future__ import annotations
@@ -13,16 +16,42 @@ from fractions import Fraction
 
 import mpmath
 
-from .fields import ApproxScalar
+from .fields import ExactScalar
 
 RANK_RELATIVE_TOLERANCE = Fraction(1, 10**9)
 DEFAULT_RANK_BITS = 256
 CROSSCHECK_RANK_BITS = 512
+DEFAULT_PRECISION_BITS = 128
+MIN_PRECISION_BITS = 64
+
+
+def embed_to_approx(x: ExactScalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpc:
+    """Exact -> approximate embedding, principal branch for sqrt(d).
+
+    A field homomorphism up to rounding: the result is within relative error
+    2^(1-precision_bits) of the true complex value.  Arithmetic on it runs at
+    the ambient mpmath precision, so wrap it in ``mpmath.workprec``.
+    """
+    if precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
+    # Construct with guard bits, round once at the target precision.
+    with mpmath.workprec(precision_bits + 16):
+        a = mpmath.mpf(x.a.numerator) / x.a.denominator
+        if x.field.is_rational or x.b == 0:
+            value = mpmath.mpc(a, 0)
+        else:
+            b = mpmath.mpf(x.b.numerator) / x.b.denominator
+            d = x.field.d
+            root = mpmath.sqrt(abs(d))
+            if d > 0:
+                value = mpmath.mpc(a + b * root, 0)
+            else:
+                value = mpmath.mpc(a, b * root)
+    with mpmath.workprec(precision_bits):
+        return mpmath.mpc(value)
 
 
 def _to_mpc(value) -> mpmath.mpc:
-    if isinstance(value, ApproxScalar):
-        return value.to_mpc()
     if isinstance(value, Fraction):
         return mpmath.mpc(mpmath.mpf(value.numerator) / value.denominator)
     return mpmath.mpc(mpmath.mpmathify(value))

@@ -116,12 +116,6 @@ def _grouping(fi: FactoredInput | RootGrouping) -> RootGrouping:
     return fi if isinstance(fi, RootGrouping) else group_roots(fi)
 
 
-def simple_part(fi: FactoredInput | RootGrouping) -> Poly:
-    """Monic product of (x - alpha) over the simple roots."""
-    g = _grouping(fi)
-    return Poly.from_roots(g.fi.field, g.simple)
-
-
 def multiple_part(fi: FactoredInput | RootGrouping) -> Poly:
     """The fixed divisor f_beta * f_gamma^2 shared by every kernel member."""
     return _grouping(fi).multiple_part

@@ -29,7 +29,6 @@ from .jsonio import (
     parse_input_spec,
     poly_from_spec,
     poly_to_wire,
-    pretty_json,
 )
 from .oracle import wf_kernel
 from .suites import SUITE_NAMES, run_suites
@@ -126,7 +125,7 @@ def _cmd_dim(args) -> int:
         raise ParseError(f"cannot read {args.spec}: {err}") from err
     spec = parse_input_spec(text)
     envelope = build_dim_report(spec)
-    if args.format == "json" and not args.pretty:
+    if args.format == "json":
         sys.stdout.write(canonical_json(envelope))
     else:
         sys.stdout.write(_render_dim_text(envelope))
@@ -165,14 +164,13 @@ def _table_records() -> list[dict]:
 
 def _cmd_table(args) -> int:
     records = _table_records()
-    fmt = "text" if args.pretty else args.format
-    if fmt == "csv":
+    if args.format == "csv":
         lines = [",".join(_TABLE_HEADER)]
         lines += [",".join(str(record[key]) for key in _TABLE_HEADER) for record in records]
         sys.stdout.write("\n".join(lines) + "\n")
-    elif fmt == "json":
+    elif args.format == "json":
         sys.stdout.write(canonical_json(records))
-    elif fmt == "text":
+    else:
         widths = {
             key: max(len(key), *(len(str(record[key])) for record in records))
             for key in _TABLE_HEADER
@@ -182,8 +180,6 @@ def _cmd_table(args) -> int:
         for record in records:
             lines.append("  ".join(str(record[key]).ljust(widths[key]) for key in _TABLE_HEADER))
         sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        raise ParseError(f"table has no {fmt} format")
     return EXIT_OK
 
 
@@ -281,7 +277,7 @@ def _cmd_zdim(args) -> int:
         "basis": [poly_to_wire(p) for p in report.basis],
         "basis_pretty": [str(p) for p in report.basis],
     }
-    if args.format == "json" and not args.pretty:
+    if args.format == "json":
         sys.stdout.write(canonical_json(payload))
     else:
         lines = [
@@ -308,12 +304,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dim = commands.add_parser("dim", help="dimension report for one input file")
     dim.add_argument("spec", help="path to a JSON input spec")
-    dim.add_argument("--pretty", action="store_true", help="human-readable output")
     dim.add_argument("--format", choices=("json", "text"), default="json")
     dim.set_defaults(func=_cmd_dim)
 
     table = commands.add_parser("table", help="regenerate the degree-4..6 survey table")
-    table.add_argument("--pretty", action="store_true", help="aligned text output")
     table.add_argument("--format", choices=("json", "csv", "text"), default="csv")
     table.set_defaults(func=_cmd_table)
 
@@ -328,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--count", type=int, default=None, help="random corpus size for the classifier suite"
     )
-    verify.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    verify.add_argument("--format", choices=("json", "text"), default="text")
     verify.set_defaults(func=_cmd_verify)
 
     zdim = commands.add_parser("zdim", help="one derivative-interpolation problem")
@@ -336,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     zdim.add_argument("--omega", required=True, help="comma-separated distinct nodes")
     zdim.add_argument("-k", "--k", type=int, required=True, dest="k", help="degree cap")
     zdim.add_argument("--d", type=int, default=None, help="work over Q(sqrt(d))")
-    zdim.add_argument("--pretty", action="store_true", help="human-readable output")
     zdim.add_argument("--format", choices=("json", "text"), default="json")
     zdim.set_defaults(func=_cmd_zdim)
 

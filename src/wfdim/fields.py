@@ -7,10 +7,6 @@ integer other than 0 and 1 — possibly negative, so Gaussian rationals are
 Field(-1).  Because such d is never a rational square, the norm a^2 - d*b^2
 vanishes only at a = b = 0, which is what makes exact division total away
 from zero.
-
-``embed_to_approx`` maps an exact scalar into the arbitrary-precision complex
-backend (``ApproxScalar``), taking sqrt(d) on the principal branch: positive
-real for d > 0, positive imaginary for d < 0.
 """
 
 from __future__ import annotations
@@ -18,14 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-import mpmath
-
 from .errors import FieldMismatchError
 
 RationalLike = Union[int, Fraction]
-
-DEFAULT_PRECISION_BITS = 128
-MIN_PRECISION_BITS = 64
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -286,102 +277,3 @@ def _scalar(field: Field, a: Fraction, b: Fraction = _ZERO) -> ExactScalar:
     object.__setattr__(x, "b", b)
     return x
 
-
-class ApproxScalar:
-    """Arbitrary-precision complex scalar (mpmath backend).
-
-    Arithmetic runs at the larger operand precision; the construction rounds
-    once, so each operation is correct to within a few units in the last
-    place at ``precision_bits``.
-    """
-
-    __slots__ = ("re", "im", "precision_bits")
-
-    def __init__(self, re, im=0, precision_bits: int = DEFAULT_PRECISION_BITS):
-        if precision_bits < MIN_PRECISION_BITS:
-            raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
-        with mpmath.workprec(precision_bits):
-            object.__setattr__(self, "re", mpmath.mpf(re))
-            object.__setattr__(self, "im", mpmath.mpf(im))
-        object.__setattr__(self, "precision_bits", precision_bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ApproxScalar is immutable")
-
-    @classmethod
-    def from_mpc(cls, value, precision_bits: int) -> "ApproxScalar":
-        value = mpmath.mpmathify(value)
-        return cls(mpmath.re(value), mpmath.im(value), precision_bits)
-
-    def to_mpc(self) -> mpmath.mpc:
-        return mpmath.mpc(self.re, self.im)
-
-    def _binary(self, other, op):
-        # Both operands must be materialized inside workprec: mpc construction
-        # re-rounds to the ambient precision, which defaults to 53 bits.
-        if isinstance(other, ApproxScalar):
-            bits = max(self.precision_bits, other.precision_bits)
-            with mpmath.workprec(bits):
-                return ApproxScalar.from_mpc(op(self.to_mpc(), other.to_mpc()), bits)
-        if isinstance(other, (int, Fraction, float)):
-            bits = self.precision_bits
-            with mpmath.workprec(bits):
-                return ApproxScalar.from_mpc(op(self.to_mpc(), mpmath.mpmathify(other)), bits)
-        return NotImplemented
-
-    def __add__(self, other):
-        return self._binary(other, lambda x, y: x + y)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda x, y: x - y)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda x, y: y - x)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda x, y: x * y)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda x, y: x / y)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, lambda x, y: y / x)
-
-    def __neg__(self):
-        return ApproxScalar(-self.re, -self.im, self.precision_bits)
-
-    def magnitude(self) -> mpmath.mpf:
-        with mpmath.workprec(self.precision_bits):
-            return abs(self.to_mpc())
-
-    def __repr__(self) -> str:
-        return f"ApproxScalar({self.re}, {self.im}, bits={self.precision_bits})"
-
-
-def embed_to_approx(x: ExactScalar, precision_bits: int | None = None) -> ApproxScalar:
-    """Exact -> approximate embedding, principal branch for sqrt(d).
-
-    A field homomorphism up to rounding: the result is within relative error
-    2^(1-precision_bits) of the true complex value.
-    """
-    bits = DEFAULT_PRECISION_BITS if precision_bits is None else precision_bits
-    if bits < MIN_PRECISION_BITS:
-        raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
-    # Construct with guard bits, round once at the target precision.
-    with mpmath.workprec(bits + 16):
-        a = mpmath.mpf(x.a.numerator) / x.a.denominator
-        if x.field.is_rational or x.b == 0:
-            value = mpmath.mpc(a, 0)
-        else:
-            b = mpmath.mpf(x.b.numerator) / x.b.denominator
-            d = x.field.d
-            root = mpmath.sqrt(abs(d))
-            if d > 0:
-                value = mpmath.mpc(a + b * root, 0)
-            else:
-                value = mpmath.mpc(a, b * root)
-    return ApproxScalar.from_mpc(value, bits)

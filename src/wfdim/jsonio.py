@@ -20,7 +20,6 @@ from .poly import FactoredInput, Poly
 __all__ = [
     "InputSpec",
     "canonical_json",
-    "pretty_json",
     "field_to_wire",
     "field_from_wire",
     "scalar_to_wire",
@@ -36,10 +35,6 @@ __all__ = [
 def canonical_json(obj) -> str:
     """Deterministic rendering: sorted keys, no whitespace, one trailing newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-
-
-def pretty_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # -- fields ---------------------------------------------------------------------

@@ -99,21 +99,6 @@ def nullspace(rows: Matrix, ncols: int, field: Field) -> list[Vector]:
     return basis
 
 
-def solve(rows: Matrix, rhs: Vector, field: Field) -> Vector | None:
-    """One solution of rows @ x = rhs, or None when inconsistent."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(augmented)
-    if ncols in pivots:
-        return None
-    x = [field.zero()] * ncols
-    for i, pcol in enumerate(pivots):
-        x[pcol] = reduced[i][ncols]
-    return x
-
-
 def canonical_rows(vectors: list[Vector], ncols: int, field: Field) -> list[Vector]:
     """Canonical representation of span(vectors): RREF with zero rows dropped."""
     if not vectors:
@@ -124,12 +109,3 @@ def canonical_rows(vectors: list[Vector], ncols: int, field: Field) -> list[Vect
     reduced, pivots = rref(vectors)
     return [reduced[i] for i in range(len(pivots))]
 
-
-def mat_vec(rows: Matrix, v: Vector, field: Field) -> Vector:
-    out = []
-    for row in rows:
-        acc = field.zero()
-        for a, b in zip(row, v):
-            acc = acc + a * b
-        out.append(acc)
-    return out

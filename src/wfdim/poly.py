@@ -201,9 +201,6 @@ class Poly:
                 remainder[shift + j] = remainder[shift + j] - q * cj
         return Poly(self.field, quotient), Poly(self.field, remainder)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -216,22 +213,6 @@ class Poly:
         if not r.is_zero():
             raise NotDivisibleError(f"nonzero remainder of degree {r.degree}")
         return q
-
-    # -- normal forms -------------------------------------------------------------
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        inv = self.leading.inverse()
-        return Poly(self.field, (c * inv for c in self.coeffs))
-
-    def normalized(self) -> "Poly":
-        """Scale so the lowest-degree nonzero coefficient is 1 (zero poly unchanged)."""
-        for c in self.coeffs:
-            if not c.is_zero():
-                inv = c.inverse()
-                return Poly(self.field, (ci * inv for ci in self.coeffs))
-        return self
 
     # -- substitution --------------------------------------------------------------
 

@@ -16,26 +16,26 @@ from __future__ import annotations
 
 import contextlib
 import io
-import json
 import random
 
 import pytest
 
-from wfdim import Field, Poly, cli, classify, wf_contains, wf_kernel
+from wfdim import Field, Poly, cli, classify
 from wfdim.approx import (CROSSCHECK_RANK_BITS, DEFAULT_RANK_BITS,
-                          wf_dimension_approx)
+                          embed_to_approx, wf_dimension_approx)
 from wfdim.bridge import group_roots, strip_multiple_part, to_z_problem
-from wfdim.classify import (CASE_EXCEPTIONAL_44, appendix_h_check,
-                            exceptional_cubics, verify_det_identities)
+from wfdim.classify import CASE_EXCEPTIONAL_44, exceptional_cubics
 from wfdim.constructions import crt_construct
 from wfdim.corpus import (random_congruence_target, random_distinct_scalars,
                           random_factored_input, random_scalar,
                           random_wide_input, random_z_problem)
-from wfdim.fields import embed_to_approx
 from wfdim.linalg import canonical_rows
+from wfdim.oracle import wf_contains
 from wfdim.poly import FactoredInput
 from wfdim.zspace import (ZProblem, critical_eta, drop_node, min_drop_dimension,
                           z_contains, z_report)
+
+from symmetric_identities import appendix_h_check, verify_det_identities
 
 RATIONALS = Field.rationals()
 

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import mpmath
 
-from wfdim import Field, classify, embed_to_approx
+from wfdim import Field, classify
 from wfdim.approx import (approx_rank, certified_family_dimension,
-                          cubic_roots_approx, wf_dimension_approx,
-                          z_dimension_approx)
+                          cubic_roots_approx, embed_to_approx,
+                          wf_dimension_approx, z_dimension_approx)
 from wfdim.bridge import to_z_problem
 from wfdim.classify import exceptional_cubics
 from wfdim.corpus import random_factored_input
@@ -39,7 +39,7 @@ def test_dimension_backend_agrees_with_the_exact_kernel():
     rng = random.Random("approx-agree")
     for _ in range(12):
         fi = random_factored_input(rng, RATIONALS, max_degree=7)
-        roots = [(embed_to_approx(root).to_mpc(), mult) for root, mult in fi.roots]
+        roots = [(embed_to_approx(root), mult) for root, mult in fi.roots]
         assert wf_dimension_approx(roots) == classify(fi).dimension
 
 
@@ -50,8 +50,8 @@ def test_interpolation_backend_agrees_with_the_exact_reports():
         if all(mult > 1 for _, mult in fi.roots):
             continue
         problem = to_z_problem(fi)
-        eta = [embed_to_approx(e).to_mpc() for e in problem.eta]
-        omega = [embed_to_approx(w).to_mpc() for w in problem.omega]
+        eta = [embed_to_approx(e) for e in problem.eta]
+        omega = [embed_to_approx(w) for w in problem.omega]
         assert z_dimension_approx(eta, omega, problem.k) == z_report(problem).dimension
 
 

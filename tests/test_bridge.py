@@ -8,7 +8,7 @@ import pytest
 
 from wfdim import DegreeTooSmallError, Field, NoSimpleRootsError, PoleError, Poly
 from wfdim.bridge import (attach_multiple_part, d_at, delta_vector, group_roots,
-                          multiple_part, multiplicity_reduction_check, simple_part,
+                          multiple_part, multiplicity_reduction_check,
                           strip_multiple_part, structural_kernel, to_z_problem)
 from wfdim.corpus import random_factored_input
 from wfdim.errors import NotDivisibleError
@@ -44,9 +44,7 @@ def test_grouping_rejects_low_degree():
 
 def test_simple_and_multiple_parts_factor_the_input():
     fi = factored([(0, 4), (1, 1), (2, 2)])
-    simple = simple_part(fi)
     multiple = multiple_part(fi)
-    assert simple == Poly.from_roots(RATIONALS, [RATIONALS.scalar(1)])
     expected_multiple = (Poly.from_roots(RATIONALS, [RATIONALS.scalar(2)])
                          * Poly.from_roots(RATIONALS, [RATIONALS.scalar(0)]) ** 2)
     assert multiple == expected_multiple

@@ -15,13 +15,14 @@ import pytest
 import wfdim
 from wfdim import CoincidentPointsError, Field, Poly, bridge, poly
 from wfdim.bridge import group_roots, to_z_problem
-from wfdim.classify import (appendix_h_check, classify, cubic_discriminant,
-                            d_pair_form, exceptional_cubics,
-                            verify_det_identities)
+from wfdim.classify import classify, d_pair_form, exceptional_cubics
 from wfdim.corpus import random_distinct_scalars, random_factored_input, table_rows
 from wfdim.poly import FactoredInput
 from wfdim.zspace import (associated_matrix, drop_node, min_drop_dimension,
                           z_report)
+
+from symmetric_identities import (appendix_h_check, cubic_discriminant,
+                                  verify_det_identities)
 
 RATIONALS = Field.rationals()
 ROOT3 = Field.quadratic(3)
@@ -130,14 +131,44 @@ sys.exit("classify returned although the two forms of d disagree")
 """
 
 
-def test_disagreeing_forms_of_d_are_caught_under_python_O():
+def _package_env() -> dict:
+    """The environment for a subprocess that imports this wfdim."""
     src = str(Path(wfdim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_disagreeing_forms_of_d_are_caught_under_python_O():
     run = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_D],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=_package_env())
     assert run.returncode == 0, run.stderr
     assert "the two forms of d disagree" in run.stdout
+
+
+_SEEDED_CORPUS = """
+import random
+from wfdim import Field, classify
+from wfdim.corpus import random_factored_input
+
+print("debug", __debug__)
+rng = random.Random("classify-python-O")
+fields = (Field.rationals(), Field.quadratic(3), Field.quadratic(-1))
+for i in range(21):
+    report = classify(random_factored_input(rng, fields[i % 3], max_degree=10))
+    print(report.dimension, report.case_tag, [str(p) for p in report.basis])
+"""
+
+
+def test_python_O_classifies_a_seeded_corpus_like_a_plain_run():
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-c", _SEEDED_CORPUS],
+                       capture_output=True, text=True, env=_package_env())
+        for flags in ((), ("-O",)))
+    assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
+    plain_lines, optimized_lines = plain.stdout.splitlines(), optimized.stdout.splitlines()
+    assert (plain_lines[0], optimized_lines[0]) == ("debug True", "debug False")
+    assert len(plain_lines) == 22
+    assert plain_lines[1:] == optimized_lines[1:]
 
 
 # -- pairwise node-data forms ------------------------------------------------------

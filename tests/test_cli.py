@@ -59,10 +59,22 @@ def test_dimension_report_json_is_canonical(spec_file):
 
 
 def test_pretty_dimension_report_is_text(spec_file):
-    code, out = run_main(["dim", spec_file(QUARTIC_SPEC), "--pretty"])
+    code, out = run_main(["dim", spec_file(QUARTIC_SPEC), "--format", "text"])
     assert code == 0
     assert "dim 1" in out
     assert "-x^2 + 1" in out
+
+
+@pytest.mark.parametrize("args", [
+    ["dim", "input.json", "--pretty"],
+    ["table", "--pretty"],
+    ["zdim", "--eta", "1", "--omega", "1", "-k", "1", "--pretty"],
+    ["verify", "--suite", "cli", "--format", "csv"],
+], ids=["dim-pretty", "table-pretty", "zdim-pretty", "verify-csv"])
+def test_removed_output_switches_exit_two(args, capsys):
+    with pytest.raises(SystemExit) as raised:
+        cli.main(args)
+    assert raised.value.code == 2
 
 
 def test_coefficient_inputs_use_only_the_direct_kernel(spec_file):

@@ -12,8 +12,8 @@ from wfdim import Field, ParseError, Poly
 from wfdim.corpus import random_poly, random_scalar
 from wfdim.jsonio import (canonical_json, factored_from_spec, field_from_wire,
                           field_to_wire, input_spec_to_wire, parse_input_spec,
-                          poly_from_spec, poly_to_wire, pretty_json,
-                          scalar_from_wire, scalar_to_wire)
+                          poly_from_spec, poly_to_wire, scalar_from_wire,
+                          scalar_to_wire)
 
 RATIONALS = Field.rationals()
 ROOT3 = Field.quadratic(3)
@@ -31,11 +31,6 @@ def test_canonical_form_is_a_fixed_point_of_reparsing():
     payload = {"z": [3, {"y": "text"}], "a": {"nested": [1, 2, 3]}}
     rendered = canonical_json(payload)
     assert canonical_json(json.loads(rendered)) == rendered
-
-
-def test_pretty_form_parses_to_the_same_object():
-    payload = {"b": 1, "a": [True, None, "x"]}
-    assert json.loads(pretty_json(payload)) == json.loads(canonical_json(payload))
 
 
 # -- field and scalar wires --------------------------------------------------------

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from wfdim import DegreeTooSmallError, Field, Poly, wf_contains, wf_form, wf_kernel
+from wfdim import DegreeTooSmallError, Field, Poly
 from wfdim.corpus import random_factored_input
 from wfdim.linalg import canonical_rows
+from wfdim.oracle import wf_contains, wf_form, wf_kernel
 
 RATIONALS = Field.rationals()
 

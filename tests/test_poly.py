@@ -114,12 +114,6 @@ def test_affine_substitution_matches_composition(u, scale, offset):
     assert u.affine_substitute(scale, offset) == u.compose(inner)
 
 
-def test_monic_rescales_the_leading_coefficient():
-    p = Poly(RATIONALS, (2, 0, 4))
-    assert p.monic().leading == RATIONALS.one()
-    assert p.monic() * 4 == p
-
-
 # -- multiplicity behaviour ------------------------------------------------------
 
 

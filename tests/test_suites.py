@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from wfdim import SUITE_NAMES, run_suites
+from wfdim.suites import SUITE_NAMES, run_suites
 
 
 def test_the_expected_suites_are_registered():
