@@ -247,7 +247,6 @@ def certified_family_dimension(family, extra_simple_roots=(),
             r = n - 2 - (n2 + 2 * n3)
             z_dim = z_dimension_approx(eta, omega, r, bits)
             results.append((wf_dim, z_dim))
-    assert results[0] == results[1], (
-        f"rank decisions differ between precisions: {results}"
-    )
+    if results[0] != results[1]:
+        raise AssertionError(f"rank decisions differ between precisions: {results}")
     return results[0]

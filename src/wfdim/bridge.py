@@ -27,7 +27,9 @@ from . import linalg
 from .errors import (DegreeTooSmallError, NoSimpleRootsError,
                      NotDivisibleError, PoleError)
 from .fields import ExactScalar
-from .oracle import wf_contains, wf_form
+# wf_contains is not called here, but stays importable from this module: the
+# layer tracer in wfbench/tracing.py wraps it under this name.
+from .oracle import wf_contains, wf_form  # noqa: F401
 from .poly import FactoredInput, Poly
 from .zspace import ZProblem, ZReport, z_report
 
@@ -181,13 +183,13 @@ def strip_multiple_part(fi: FactoredInput | RootGrouping, p: Poly) -> Poly:
 
 
 def attach_multiple_part(fi: FactoredInput | RootGrouping, q: Poly) -> Poly:
-    """Multiply by f_beta * f_gamma^2 and verify the result lies in the kernel."""
-    g = _grouping(fi)
-    p = q * g.multiple_part
-    if not wf_contains(g.f, p):
-        raise ValueError("attaching the multiple-root factor did not produce a kernel member; "
-                         "the cofactor must satisfy the simple-root conditions")
-    return p
+    """Multiply a cofactor by f_beta * f_gamma^2.
+
+    The product lies in the kernel exactly when q solves the interpolation
+    problem.  It is not checked here: a basis built from such products is
+    checked once, where it is compared with the brute-force kernel.
+    """
+    return q * _grouping(fi).multiple_part
 
 
 def to_z_problem(fi: FactoredInput | RootGrouping) -> ZProblem:
@@ -229,8 +231,9 @@ def structural_kernel(fi: FactoredInput | RootGrouping) -> tuple[int, tuple[Poly
 
     With no simple roots the kernel is exactly f_beta*f_gamma^2 * P_r, so the
     monomial multiples form a basis.  Otherwise solve Z(delta, alpha; n1, r)
-    and attach the fixed factor to each solution.  Every reported basis
-    element is verified against the defining divisibility.
+    and attach the fixed factor to each solution.  The basis is not checked
+    against the definition here: ``classify`` and the ``reduction_bridge``
+    suite require it to equal the kernel basis, which ``WfKernel`` checks.
     """
     g = _grouping(fi)
     field = g.fi.field
@@ -238,9 +241,6 @@ def structural_kernel(fi: FactoredInput | RootGrouping) -> tuple[int, tuple[Poly
     m = g.multiple_part
     if g.n1 == 0:
         members = [m * Poly.x(field) ** j for j in range(g.r + 1)]
-        for p in members:
-            if not wf_contains(g.f, p):
-                raise AssertionError(f"structural basis element {p} fails the divisibility")
     else:
         members = [attach_multiple_part(g, q) for q in g.z_report.basis]
     vectors = [p.padded(n - 1) for p in members]

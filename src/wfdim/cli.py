@@ -31,7 +31,6 @@ from .jsonio import (
     poly_to_wire,
 )
 from .oracle import wf_kernel
-from .suites import SUITE_NAMES, run_suites
 from .zspace import ZProblem, z_report
 
 __all__ = ["main", "build_dim_report"]
@@ -187,6 +186,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .suites import run_suites
+
     names = tuple(args.suite) if args.suite else None
     if args.count is not None and args.count < 1:
         raise ParseError(f"--count must be a positive integer, got {args.count}")
@@ -293,6 +294,10 @@ def _cmd_zdim(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Imported here and in _cmd_verify, so that importing this module loads no
+    # suites (nor the constructions and corpus modules they use).
+    from .suites import SUITE_NAMES
+
     parser = argparse.ArgumentParser(
         prog="wfdim",
         description=(

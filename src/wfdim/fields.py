@@ -237,11 +237,6 @@ class ExactScalar:
         """Deterministic (not order-theoretic) key for stable output ordering."""
         return (self.a, self.b)
 
-    def pivot_weight(self) -> int:
-        """Size measure used to pick elimination pivots: largest numerator wins."""
-        n = self.norm()
-        return abs(n.numerator)
-
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:

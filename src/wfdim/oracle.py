@@ -34,7 +34,11 @@ def wf_contains(f: Poly, p: Poly) -> bool:
 
 @dataclass(frozen=True)
 class WfKernel:
-    """Exact kernel: dimension and canonical basis (echelon rows, lowest nonzero coefficient 1)."""
+    """Exact kernel: dimension and canonical basis (echelon rows, lowest nonzero coefficient 1).
+
+    Every basis member is checked against the definition on construction;
+    on the classify path this is the one membership check per basis.
+    """
 
     f: Poly
     dimension: int

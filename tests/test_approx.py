@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 
+import wfdim
 from wfdim import Field, classify
 from wfdim.approx import (approx_rank, certified_family_dimension,
                           cubic_roots_approx, embed_to_approx,
@@ -71,3 +76,31 @@ def test_certified_families_all_land_on_unit_dimension():
         dim, crosschecked = certified_family_dimension(
             fam, extra_simple_roots=(2,), precision_bits=256, crosscheck_bits=512)
         assert (dim, crosschecked) == (1, 1)
+
+
+_DISAGREEING_PRECISIONS = """
+import sys
+from wfdim import approx
+from wfdim.classify import exceptional_cubics
+
+if __debug__:
+    sys.exit("expected to run under python -O")
+approx.wf_dimension_approx = lambda roots, bits: bits  # a rank that moves with precision
+try:
+    result = approx.certified_family_dimension(exceptional_cubics()[0],
+                                               precision_bits=64, crosscheck_bits=128)
+except AssertionError as err:
+    print(err)
+    sys.exit(0)
+sys.exit(f"returned {result} although the two precisions disagree")
+"""
+
+
+def test_disagreeing_precisions_are_caught_under_python_O():
+    src = str(Path(wfdim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-O", "-c", _DISAGREEING_PRECISIONS],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert "rank decisions differ between precisions" in run.stdout

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import wfdim
-from wfdim import CoincidentPointsError, Field, Poly, bridge, poly
+from wfdim import CoincidentPointsError, Field, Poly, bridge, oracle, poly
 from wfdim.bridge import group_roots, to_z_problem
 from wfdim.classify import classify, d_pair_form, exceptional_cubics
 from wfdim.corpus import random_distinct_scalars, random_factored_input, table_rows
@@ -110,6 +110,70 @@ def test_one_classify_call_derives_each_input_quantity_once(monkeypatch):
         report = classify(fi)
         assert counts["expand"] == 1, fi
         assert counts["to_z_problem"] == (1 if report.grouping.n1 else 0), fi
+
+
+def test_one_classify_call_checks_each_basis_member_once(monkeypatch):
+    # wf_contains is wrapped in both namespaces it is looked up from, as the
+    # layer tracer does: the kernel's check reads it from oracle, and bridge
+    # keeps it importable.
+    calls = []
+    honest = oracle.wf_contains
+
+    def counted(f, p):
+        calls.append(p)
+        return honest(f, p)
+
+    monkeypatch.setattr(oracle, "wf_contains", counted)
+    monkeypatch.setattr(bridge, "wf_contains", counted)
+    s3 = ROOT3.sqrt_generator()
+    inputs = [
+        factored([(0, 5)]),
+        factored([(0, 2), (1, 2), (2, 3)]),
+        factored([(0, 4), (1, 1)]),
+        factored([(0, 4), (1, 1), (2, 1), (3, 1), (4, 1)]),
+        FactoredInput(ROOT3, [(s3, 2), (-s3, 1), (ROOT3.scalar(1), 1), (ROOT3.scalar(2), 3)]),
+    ]
+    for fi in inputs:
+        calls.clear()
+        report = classify(fi)
+        assert report.basis, fi
+        assert calls == list(report.basis), fi
+
+
+_WRONG_MULTIPLE_PART = """
+import sys
+from functools import cached_property
+from wfdim import Field, RouteDisagreementError, classify
+from wfdim.bridge import RootGrouping
+from wfdim.poly import FactoredInput, Poly
+
+# Each multiple root moved by 1: a polynomial of the same degree that does not
+# divide the kernel members.
+RootGrouping.multiple_part = cached_property(lambda g: Poly.from_roots(
+    g.fi.field, [c + 1 for c in g.double] + [c + 1 for c, _ in g.higher for _ in range(2)]))
+RootGrouping.multiple_part.__set_name__(RootGrouping, "multiple_part")
+Q = Field.rationals()
+for roots in ([(0, 5)], [(0, 4), (1, 1)], [(0, 2), (3, 1), (1, 1), (2, 1), (5, 2)]):
+    fi = FactoredInput(Q, [(Q.scalar(c), m) for c, m in roots])
+    try:
+        classify(fi)
+    except RouteDisagreementError as err:
+        print("caught", err)
+    else:
+        sys.exit(f"classify returned for {fi} although the structural basis is wrong")
+print("debug", __debug__)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "python -O"])
+def test_a_wrong_structural_member_is_a_route_disagreement(flags):
+    run = subprocess.run([sys.executable, *flags, "-c", _WRONG_MULTIPLE_PART],
+                         capture_output=True, text=True, env=_package_env())
+    assert run.returncode == 0, run.stderr + run.stdout
+    lines = run.stdout.splitlines()
+    assert [line.split(" for ")[0] for line in lines[:3]] == [
+        "caught canonical bases differ between kernel and reduction routes"] * 3
+    assert lines[3] == f"debug {not flags}"
 
 
 _CORRUPTED_D = """

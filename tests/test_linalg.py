@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from wfdim import Field
+import reference_rref
+from wfdim import Field, FieldMismatchError
 from wfdim.linalg import canonical_rows, determinant, nullspace, rank, rref
 
 RATIONALS = Field.rationals()
 ROOT3 = Field.quadratic(3)
+# Q, then quadratic fields with d = 3 and -1 (d = 3 mod 4) and with d = 5,
+# 33 and -3 (d = 1 mod 4, where Z[sqrt(d)] is not the whole ring of integers).
+FIELDS = (RATIONALS, ROOT3, Field.quadratic(-1), Field.quadratic(5),
+          Field.quadratic(33), Field.quadratic(-3))
 
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -61,6 +69,74 @@ def test_reduced_form_has_unit_pivots_and_cleared_columns(m):
         for other in range(len(reduced)):
             expected = RATIONALS.one() if other == row_index else RATIONALS.zero()
             assert reduced[other][col] == expected
+
+
+# -- fraction-free elimination against the Gauss-Jordan reference ---------------
+
+BIG = 2**200
+entry_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.builds(Fraction, st.integers(BIG, 2 * BIG) | st.integers(-2 * BIG, -BIG),
+              st.integers(1, 2**70)),
+)
+
+
+@st.composite
+def shaped_matrices(draw):
+    """A matrix over one of FIELDS: any shape up to 6 x 6 including empty,
+    with dependent and duplicate rows appended and a zero column inserted."""
+    field = draw(st.sampled_from(FIELDS))
+
+    def scalar():
+        b = Fraction(0) if field.is_rational else draw(entry_parts)
+        return field.scalar(draw(entry_parts), b)
+
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = [[scalar() for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        first, second = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        c = scalar()  # zero gives a duplicate row, first == second a multiple
+        rows.append([x + c * y for x, y in zip(rows[first], rows[second])])
+    if rows and draw(st.booleans()):
+        at = draw(st.integers(0, len(rows[0])))
+        rows = [row[:at] + [field.zero()] + row[at:] for row in rows]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=shaped_matrices())
+def test_fraction_free_rref_matches_the_gauss_jordan_reference(m):
+    assert rref(m) == reference_rref.rref(m)
+
+
+def _named_matrices(field):
+    s = field.scalar
+    u = s(3, 0 if field.is_rational else Fraction(-2, 7))
+    huge = s(Fraction(BIG + 1, 3), 0 if field.is_rational else -BIG - 5)
+    return {
+        "empty": [],
+        "no columns": [[], []],
+        "all zero": [[field.zero()] * 3 for _ in range(3)],
+        "1x1": [[u]],
+        "wide": [[s(j - i) * u + s(i * j) for j in range(6)] for i in range(2)],
+        "tall": [[s(i + 1) * u ** j + s(j) for j in range(2)] for i in range(6)],
+        "rank deficient": [[s(1), u, s(2)], [s(2), u + u, s(4)], [s(0), s(1), u]],
+        "duplicate rows": [[u, s(1), s(0)], [s(5), s(0), u], [u, s(1), s(0)]],
+        "zero column": [[s(0), u, s(1)], [s(0), s(2), u], [s(0), s(1), s(1)]],
+        "numerators above 2^200": [[huge, s(1), u], [u, huge, s(7)], [huge * u, s(2), huge]],
+    }
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_named_shapes_match_the_gauss_jordan_reference(field):
+    for name, m in _named_matrices(field).items():
+        assert rref(m) == reference_rref.rref(m), name
+
+
+def test_entries_from_two_fields_are_refused():
+    with pytest.raises(FieldMismatchError):
+        rref([[RATIONALS.one(), RATIONALS.one()], [RATIONALS.one(), ROOT3.one()]])
 
 
 # -- determinant ------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 ``import wfdim`` and ``import wfdim.cli`` serve the exact routes only, so they
 must not load the floating backend (mpmath); ``wfdim.approx`` loads it on
-demand.  The top level exports what the README, the demos and the benchmark
+demand.  ``import wfdim.cli`` loads no property suites either: ``verify``
+imports them when it runs.  The top level exports what the README, the demos and the benchmark
 read from it; the benchmark's workload builder is read here as a file (it is
 not changed or imported), and every ``wfdim.<name>`` it uses must resolve.
 """
@@ -43,6 +44,28 @@ def test_importing_the_package_and_its_cli_loads_no_mpmath():
                          capture_output=True, text=True, env=_subprocess_env())
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "none", f"mpmath modules loaded: {run.stdout}"
+
+
+_SUITE_MODULES_PROBE = """
+import sys
+import wfdim.cli
+suites = {"wfdim.suites", "wfdim.constructions", "wfdim.corpus"}
+print(" ".join(sorted(suites & set(sys.modules))) or "none")
+"""
+
+
+def test_importing_the_cli_loads_no_suites():
+    run = subprocess.run([sys.executable, "-c", _SUITE_MODULES_PROBE],
+                         capture_output=True, text=True, env=_subprocess_env())
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "none", f"suite modules loaded: {run.stdout}"
+
+
+def test_verify_still_refuses_an_unknown_suite():
+    run = subprocess.run([sys.executable, "-m", "wfdim.cli", "verify", "--suite", "bogus"],
+                         capture_output=True, text=True, env=_subprocess_env())
+    assert run.returncode == 2
+    assert "invalid choice: 'bogus'" in run.stderr
 
 
 def test_workload_builder_names_resolve_on_the_package():
