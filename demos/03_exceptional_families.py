@@ -54,7 +54,7 @@ for fam in families:
 
     # The designed singular drop is visible — and so is the nonsingular one
     # that keeps the dimension at 1.
-    problem = to_z_problem(extended)
+    problem = to_z_problem(report.grouping)
     dims = [z_report(drop_node(problem, i)).dimension for i in range(problem.s)]
     print(f"  dropped-node dims {dims}  ->  1 + min = "
           f"{min_drop_dimension(problem)}")

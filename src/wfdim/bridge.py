@@ -24,12 +24,11 @@ from dataclasses import dataclass, field as _field
 from functools import cached_property
 
 from . import linalg
-from .errors import (DegreeTooSmallError, NoSimpleRootsError,
-                     NotDivisibleError, PoleError)
+from .errors import DegreeTooSmallError, NoSimpleRootsError, PoleError
 from .fields import ExactScalar
 # wf_contains is not called here, but stays importable from this module: the
 # layer tracer in wfbench/tracing.py wraps it under this name.
-from .oracle import wf_contains, wf_form  # noqa: F401
+from .oracle import wf_contains  # noqa: F401
 from .poly import FactoredInput, Poly
 from .zspace import ZProblem, ZReport, z_report
 
@@ -110,20 +109,7 @@ def group_roots(fi: FactoredInput) -> RootGrouping:
     return RootGrouping(simple=simple, double=double, higher=higher, n=fi.degree, fi=fi)
 
 
-# The helpers below take a FactoredInput, or the RootGrouping of one to
-# reuse what it has already derived.
-
-
-def _grouping(fi: FactoredInput | RootGrouping) -> RootGrouping:
-    return fi if isinstance(fi, RootGrouping) else group_roots(fi)
-
-
-def multiple_part(fi: FactoredInput | RootGrouping) -> Poly:
-    """The fixed divisor f_beta * f_gamma^2 shared by every kernel member."""
-    return _grouping(fi).multiple_part
-
-
-def d_at(fi: FactoredInput | RootGrouping, x0: ExactScalar) -> ExactScalar:
+def d_at(g: RootGrouping, x0: ExactScalar) -> ExactScalar:
     """d(x0) for a simple root x0, computed two independent ways.
 
     Root-sum form:      sum_{alpha_j != x0} 2/(x0-alpha_j)
@@ -133,7 +119,6 @@ def d_at(fi: FactoredInput | RootGrouping, x0: ExactScalar) -> ExactScalar:
     root products and ft carries each higher root with its full multiplicity.
     Both are computed and must agree.
     """
-    g = _grouping(fi)
     if x0 not in g.simple:
         if any(x0 == b for b in g.double) or any(x0 == c for c, _ in g.higher):
             raise PoleError(f"{x0} is a multiple root; d has a pole there")
@@ -165,68 +150,30 @@ def d_at(fi: FactoredInput | RootGrouping, x0: ExactScalar) -> ExactScalar:
     return via_sums
 
 
-def delta_vector(fi: FactoredInput | RootGrouping) -> tuple[ExactScalar, ...]:
+def delta_vector(g: RootGrouping) -> tuple[ExactScalar, ...]:
     """(d(alpha_1), ..., d(alpha_n1)) in the order the simple roots appear."""
-    g = _grouping(fi)
     return tuple(d_at(g, a) for a in g.simple)
 
 
-def strip_multiple_part(fi: FactoredInput | RootGrouping, p: Poly) -> Poly:
-    """Divide a kernel member by f_beta * f_gamma^2 (exact, by the divisibility lemma)."""
-    m = multiple_part(fi)
-    try:
-        return p.exact_div(m)
-    except NotDivisibleError:
-        raise NotDivisibleError(
-            "polynomial is not divisible by the fixed multiple-root factor; "
-            "it cannot be a kernel member") from None
-
-
-def attach_multiple_part(fi: FactoredInput | RootGrouping, q: Poly) -> Poly:
+def attach_multiple_part(g: RootGrouping, q: Poly) -> Poly:
     """Multiply a cofactor by f_beta * f_gamma^2.
 
     The product lies in the kernel exactly when q solves the interpolation
     problem.  It is not checked here: a basis built from such products is
     checked once, where it is compared with the brute-force kernel.
     """
-    return q * _grouping(fi).multiple_part
+    return q * g.multiple_part
 
 
-def to_z_problem(fi: FactoredInput | RootGrouping) -> ZProblem:
+def to_z_problem(g: RootGrouping) -> ZProblem:
     """Z(delta, alpha; n1, r) — defined only when f has simple roots."""
-    g = _grouping(fi)
     if g.n1 == 0:
         raise NoSimpleRootsError("no simple roots: the kernel is described directly, "
                                  "not by an interpolation problem")
     return ZProblem(eta=delta_vector(g), omega=g.simple, k=g.r)
 
 
-def multiplicity_reduction_check(fi: FactoredInput | RootGrouping, p: Poly) -> bool:
-    """Check the per-root divisibility equivalences behind the bridge.
-
-    For R = f''p - f'p' and deg p <= n-2:
-      at each double root beta:    (x-beta)^2 | R  <=>  (x-beta) | p,
-      at each higher root gamma:   (x-gamma)^k | R  <=>  (x-gamma)^2 | p.
-    Returns True iff every equivalence holds (it must, for every valid p).
-    """
-    g = _grouping(fi)
-    if p.degree > g.n - 2:
-        raise ValueError("degree of p exceeds n - 2")
-    field = g.fi.field
-    big_r = wf_form(g.f, p)
-    ok = True
-    for b in g.double:
-        lhs = Poly.from_roots(field, [b, b]).divides(big_r)
-        rhs = Poly.from_roots(field, [b]).divides(p)
-        ok = ok and (lhs == rhs)
-    for c, mult in g.higher:
-        lhs = Poly.from_roots(field, [c] * mult).divides(big_r)
-        rhs = Poly.from_roots(field, [c, c]).divides(p)
-        ok = ok and (lhs == rhs)
-    return ok
-
-
-def structural_kernel(fi: FactoredInput | RootGrouping) -> tuple[int, tuple[Poly, ...]]:
+def structural_kernel(g: RootGrouping) -> tuple[int, tuple[Poly, ...]]:
     """Kernel dimension and canonical basis via the root structure.
 
     With no simple roots the kernel is exactly f_beta*f_gamma^2 * P_r, so the
@@ -235,7 +182,6 @@ def structural_kernel(fi: FactoredInput | RootGrouping) -> tuple[int, tuple[Poly
     against the definition here: ``classify`` and the ``reduction_bridge``
     suite require it to equal the kernel basis, which ``WfKernel`` checks.
     """
-    g = _grouping(fi)
     field = g.fi.field
     n = g.n
     m = g.multiple_part

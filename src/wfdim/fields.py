@@ -3,10 +3,10 @@
 A scalar is a + b*sqrt(d) with rational a, b held as ``fractions.Fraction``.
 The descriptor ``Field`` fixes d once for a whole computation: d = None means
 the plain rationals (b is forced to zero there), otherwise d is a squarefree
-integer other than 0 and 1 — possibly negative, so Gaussian rationals are
-Field(-1).  Because such d is never a rational square, the norm a^2 - d*b^2
-vanishes only at a = b = 0, which is what makes exact division total away
-from zero.
+integer other than 0 and 1 with |d| < 10^12 — possibly negative, so
+Gaussian rationals are Field(-1).  Because such d is never a rational square,
+the norm a^2 - d*b^2 vanishes only at a = b = 0, which is what makes exact
+division total away from zero.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ class Field:
                 raise TypeError(f"d must be an int, got {type(d).__name__}")
             if d in (0, 1):
                 raise ValueError("d must not be 0 or 1")
+            if abs(d) >= 10**12:
+                # Squarefreeness is tested by trial division up to sqrt(|d|).
+                raise ValueError(f"|d| must be below 10^12, got {d}")
             if not _is_squarefree(d):
                 raise ValueError(f"d must be squarefree, got {d}")
             d = int(d)
@@ -182,9 +185,6 @@ class ExactScalar:
         if self.field.is_rational:
             return self.a * self.a
         return self.a * self.a - self.field.d * self.b * self.b
-
-    def conjugate(self) -> "ExactScalar":
-        return _scalar(self.field, self.a, -self.b)
 
     def inverse(self) -> "ExactScalar":
         if self.is_zero():

@@ -6,6 +6,8 @@ pairs of ints in Z[sqrt(d)]), every division by the previous pivot is exact by
 Sylvester's identity, and the pivot rows are divided by the last pivot once,
 at the end.  The reduced row echelon form is unique, so there is no pivot
 rule, and rank and kernel decisions carry no tolerance at all.
+``determinant`` reads the same elimination: the last pivot over the signed
+product of the row scales.
 ``canonical_rows`` is the one normal form every reported basis goes
 through: reduced row echelon, zero rows dropped, each leading entry 1 — two
 spanning sets are equal as subspaces iff their canonical rows are identical.
@@ -27,17 +29,17 @@ def _copy(rows: Matrix) -> Matrix:
     return [list(row) for row in rows]
 
 
-def _integral_row(row: Vector, field: Field) -> list:
+def _integral_row(row: Vector, field: Field) -> tuple[list, int]:
     """The row times the lcm of its denominators: ints over Q, (a, b) pairs
-    standing for a + b*sqrt(d) over Q(sqrt(d))."""
+    standing for a + b*sqrt(d) over Q(sqrt(d)); and that lcm."""
     if any(x.field is not field for x in row):
         raise FieldMismatchError(f"matrix entries from {field!r} and another field")
     if field.d is None:
         scale = lcm(*(x.a.denominator for x in row))
-        return [x.a.numerator * (scale // x.a.denominator) for x in row]
+        return [x.a.numerator * (scale // x.a.denominator) for x in row], scale
     scale = lcm(*(x.a.denominator for x in row), *(x.b.denominator for x in row))
     return [(x.a.numerator * (scale // x.a.denominator),
-             x.b.numerator * (scale // x.b.denominator)) for x in row]
+             x.b.numerator * (scale // x.b.denominator)) for x in row], scale
 
 
 def _combine(d: int | None, pivot, factor, prev, row: list, prow: list) -> list:
@@ -67,26 +69,44 @@ def _normalised(row: list, last, field: Field) -> Vector:
             for xa, xb in row]
 
 
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (new rows, pivot column indices)."""
-    if not rows or not rows[0]:
-        return _copy(rows), []
-    field = rows[0][0].field
+def _eliminate(rows: Matrix, field: Field) -> tuple[list[list], list[int], object, int]:
+    """Fraction-free Gauss-Jordan on the rows scaled to integers.
+
+    Returns the integer rows, the pivot columns, the last pivot, and the
+    product of the row scales, negated once per row swap.  The last pivot of
+    a square matrix of full rank is the determinant of the scaled, swapped
+    rows (Sylvester's identity).
+    """
     zero, prev = (0, 1) if field.d is None else ((0, 0), (1, 0))
-    m = [_integral_row(row, field) for row in rows]
+    m, scale = [], 1
+    for row in rows:
+        integral, row_scale = _integral_row(row, field)
+        m.append(integral)
+        scale *= row_scale
     pivots: list[int] = []
     for col in range(len(m[0])):
         r = len(pivots)
         best = next((i for i in range(r, len(m)) if m[i][col] != zero), None)
         if best is None:
             continue
+        if best != r:
+            scale = -scale
         m[r], m[best] = m[best], m[r]
         pivot, prow = m[r][col], m[r]
         m = [row if i == r else _combine(field.d, pivot, row[col], prev, row, prow)
              for i, row in enumerate(m)]
         prev = pivot
         pivots.append(col)
-    reduced = [_normalised(row, prev, field) for row in m[:len(pivots)]]
+    return m, pivots, prev, scale
+
+
+def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (new rows, pivot column indices)."""
+    if not rows or not rows[0]:
+        return _copy(rows), []
+    field = rows[0][0].field
+    m, pivots, last, _ = _eliminate(rows, field)
+    reduced = [_normalised(row, last, field) for row in m[:len(pivots)]]
     return reduced + [[field.zero()] * len(m[0]) for _ in m[len(pivots):]], pivots
 
 
@@ -95,29 +115,18 @@ def rank(rows: Matrix) -> int:
 
 
 def determinant(rows: Matrix) -> ExactScalar:
-    """Determinant of a square matrix by elimination with exact division."""
+    """Determinant of a square matrix: the last pivot of the fraction-free
+    elimination over the signed product of the row scales."""
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise ValueError("determinant requires a square matrix")
     if size == 0:
         raise ValueError("determinant of an empty matrix is undefined")
     field = rows[0][0].field
-    m = _copy(rows)
-    det = field.one()
-    for col in range(size):
-        pivot = next((i for i in range(col, size) if not m[i][col].is_zero()), None)
-        if pivot is None:
-            return field.zero()
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col].inverse()
-        for i in range(col + 1, size):
-            if not m[i][col].is_zero():
-                factor = m[i][col] * inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
-    return det
+    _, pivots, last, scale = _eliminate(rows, field)
+    if len(pivots) < size:
+        return field.zero()
+    return _normalised([last], scale if field.d is None else (scale, 0), field)[0]
 
 
 def nullspace(rows: Matrix, ncols: int, field: Field) -> list[Vector]:

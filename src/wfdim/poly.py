@@ -204,10 +204,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def divides(self, other: "Poly") -> bool:
-        """True when self | other (self nonzero)."""
-        return (other % self).is_zero()
-
     def exact_div(self, other) -> "Poly":
         q, r = divmod(self, other)
         if not r.is_zero():

@@ -13,13 +13,7 @@ from dataclasses import dataclass, field as _field
 from fractions import Fraction
 
 from . import linalg
-from .bridge import (
-    delta_vector,
-    group_roots,
-    multiple_part,
-    structural_kernel,
-    to_z_problem,
-)
+from .bridge import delta_vector, group_roots, structural_kernel, to_z_problem
 from .classify import classify, d_pair_form, exceptional_cubics
 from .constructions import HermiteData, crt_construct, ev_kernel_dim, hermite_basis
 from .corpus import (
@@ -181,7 +175,7 @@ def _suite_wspace_oracle(rng: random.Random, result: SuiteResult) -> None:
 # -- zspace ----------------------------------------------------------------------
 
 
-def _suite_zspace(rng: random.Random, result: SuiteResult, degeneracy_draws: int = 200) -> None:
+def _suite_zspace(rng: random.Random, result: SuiteResult) -> None:
     fields = _fields_under_test()
     for _ in range(60):
         field = rng.choice(fields)
@@ -217,7 +211,7 @@ def _suite_zspace(rng: random.Random, result: SuiteResult, degeneracy_draws: int
                 f"node-subset inclusion fails for {problem}",
             )
     # Non-critical eta with k >= 2s-2 is never degenerate.
-    for _ in range(degeneracy_draws):
+    for _ in range(200):
         field = rng.choice(fields)
         s = rng.randint(2, 5)
         k = rng.randint(2 * s - 2, 2 * s + 2)
@@ -244,7 +238,7 @@ def _suite_zspace(rng: random.Random, result: SuiteResult, degeneracy_draws: int
         roots += [(m, mult) for m, mult in zip(mroots[n2:], hs)]
         roots += [(a1, 1), (a2, 1)]
         gfi = FactoredInput(q, roots)
-        truncation = ZProblem(eta=delta_vector(gfi), omega=(a1, a2), k=1)
+        truncation = ZProblem(eta=delta_vector(group_roots(gfi)), omega=(a1, a2), k=1)
         det = linalg.determinant(associated_matrix(truncation))
         result.check(
             det == (a1 - a2) * d_pair_form(gfi, a1, a2),
@@ -259,7 +253,7 @@ def _suite_reduction_bridge(rng: random.Random, result: SuiteResult) -> None:
     for _ in range(60):
         fi = random_factored_input(rng, max_degree=10)
         kernel = wf_kernel(fi.expand())
-        dim, basis = structural_kernel(fi)
+        dim, basis = structural_kernel(group_roots(fi))
         result.check(
             dim == kernel.dimension and list(basis) == list(kernel.basis),
             f"bridge route disagrees with the kernel for {fi}",
@@ -274,7 +268,7 @@ def _suite_reduction_bridge(rng: random.Random, result: SuiteResult) -> None:
         drawn += 1
         kernel = wf_kernel(fi.expand())
         result.check(kernel.dimension == g.r + 1, f"n1=0 dimension != r+1 for {fi}")
-        carrier = multiple_part(fi)
+        carrier = g.multiple_part
         for p in kernel.basis:
             quot, rem = divmod(p, carrier)
             result.check(
@@ -305,8 +299,8 @@ def _suite_reduction_bridge(rng: random.Random, result: SuiteResult) -> None:
 # -- constructions ---------------------------------------------------------------
 
 
-def _suite_constructions(rng: random.Random, result: SuiteResult, draws: int = 100) -> None:
-    for _ in range(draws):
+def _suite_constructions(rng: random.Random, result: SuiteResult) -> None:
+    for _ in range(100):
         fi = random_wide_input(rng, max_degree=10)
         g = group_roots(fi)
         target = random_congruence_target(rng, fi)
@@ -335,7 +329,7 @@ def _suite_constructions(rng: random.Random, result: SuiteResult, draws: int = 1
             f"wide-regime dimension formula fails for {fi}",
         )
     fields = _fields_under_test()
-    for _ in range(draws):
+    for _ in range(100):
         field = rng.choice(fields)
         s = rng.randint(1, 6)
         omega = random_distinct_scalars(rng, field, s)
@@ -349,7 +343,7 @@ def _suite_constructions(rng: random.Random, result: SuiteResult, draws: int = 1
             for w, e, yv in zip(omega, eta, y)
         )
         result.check(good, f"interpolant misses its data: s={s}")
-    for _ in range(draws):
+    for _ in range(100):
         field = rng.choice(fields)
         s = rng.randint(1, 5)
         k = rng.randint(2 * s - 1, 2 * s + 3)
@@ -433,7 +427,7 @@ def _suite_classifier(rng: random.Random, result: SuiteResult, corpus_size: int 
         elif g.r == 5:
             expected_ok = report.dimension == 2
         else:
-            problem = to_z_problem(fi)
+            problem = to_z_problem(g)
             expected_ok = report.dimension in (1, 2) and report.dimension == min_drop_dimension(problem)
         result.check(
             expected_ok,
@@ -455,7 +449,7 @@ def _suite_classifier(rng: random.Random, result: SuiteResult, corpus_size: int 
             report.case_tag == "Exceptional44" and report.dimension == 1,
             f"{fam.label}: extension gives {report.case_tag} dim {report.dimension}",
         )
-        problem = to_z_problem(extended)
+        problem = to_z_problem(report.grouping)
         dropped = z_report(drop_node(problem, 3)).dimension
         result.check(
             dropped == 1,

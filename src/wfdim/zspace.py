@@ -177,20 +177,3 @@ def min_drop_dimension(z: ZProblem) -> int:
         raise HypothesisError(f"node-removal dimension needs s <= k < 2s, got s={z.s}, k={z.k}")
     return 1 + min(z_report(drop_node(z, i)).dimension for i in range(z.s))
 
-
-def affine_transport(z: ZProblem, scale: ExactScalar, offset: ExactScalar) -> ZProblem:
-    """Image problem under x -> scale*x + offset: omega' = scale*omega + offset, eta' = eta/scale.
-
-    ``transport_member`` maps members correspondingly.
-    """
-    if scale.is_zero():
-        raise ValueError("scale must be nonzero")
-    omega = tuple(scale * w + offset for w in z.omega)
-    eta = tuple(e / scale for e in z.eta)
-    return ZProblem(eta=eta, omega=omega, k=z.k)
-
-
-def transport_member(p: Poly, scale: ExactScalar, offset: ExactScalar) -> Poly:
-    """p(x) -> p((x - offset)/scale), the member map matching affine_transport."""
-    inv = scale.inverse()
-    return p.affine_substitute(inv, -offset * inv)

@@ -1,8 +1,10 @@
-"""The Gauss-Jordan elimination on ExactScalar entries that ``wfdim.linalg.rref``
-replaced, kept as the reference its fraction-free version is compared against.
+"""The eliminations on ExactScalar entries that ``wfdim.linalg``'s
+fraction-free ``rref`` and ``determinant`` replaced, kept as the references
+they are compared against.
 
-Pivots are chosen by the largest-numerator rule: the numerator of the
-pivot's norm, largest first.
+``rref`` chooses pivots by the largest-numerator rule: the numerator of the
+pivot's norm, largest first.  ``determinant`` is Gaussian elimination with
+the first nonzero pivot.
 """
 
 from __future__ import annotations
@@ -48,3 +50,29 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
         pivots.append(col)
         pivot_row += 1
     return m, pivots
+
+
+def determinant(rows: Matrix) -> ExactScalar:
+    """Determinant of a square matrix by elimination with exact division."""
+    size = len(rows)
+    if any(len(row) != size for row in rows):
+        raise ValueError("determinant requires a square matrix")
+    if size == 0:
+        raise ValueError("determinant of an empty matrix is undefined")
+    field = rows[0][0].field
+    m = _copy(rows)
+    det = field.one()
+    for col in range(size):
+        pivot = next((i for i in range(col, size) if not m[i][col].is_zero()), None)
+        if pivot is None:
+            return field.zero()
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det = det * m[col][col]
+        inv = m[col][col].inverse()
+        for i in range(col + 1, size):
+            if not m[i][col].is_zero():
+                factor = m[i][col] * inv
+                m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
+    return det

@@ -23,7 +23,7 @@ import pytest
 from wfdim import Field, Poly, cli, classify
 from wfdim.approx import (CROSSCHECK_RANK_BITS, DEFAULT_RANK_BITS,
                           embed_to_approx, wf_dimension_approx)
-from wfdim.bridge import group_roots, strip_multiple_part, to_z_problem
+from wfdim.bridge import group_roots, to_z_problem
 from wfdim.classify import CASE_EXCEPTIONAL_44, exceptional_cubics
 from wfdim.constructions import crt_construct
 from wfdim.corpus import (random_congruence_target, random_distinct_scalars,
@@ -35,6 +35,7 @@ from wfdim.poly import FactoredInput
 from wfdim.zspace import (ZProblem, critical_eta, drop_node, min_drop_dimension,
                           z_contains, z_report)
 
+from reduction_helpers import strip_multiple_part
 from symmetric_identities import appendix_h_check, verify_det_identities
 
 RATIONALS = Field.rationals()
@@ -196,8 +197,8 @@ def test_06_three_route_equivalence(announce, classified_corpus):
             ok = ok and report.dim_theorem == report.dim_oracle
         g = report.grouping
         if g.n1 > 0 and report.dimension > 0:
-            problem = to_z_problem(fi)
-            stripped = [strip_multiple_part(fi, p) for p in report.basis]
+            problem = to_z_problem(g)
+            stripped = [strip_multiple_part(g, p) for p in report.basis]
             ok = ok and all(z_contains(problem, q) for q in stripped)
             ok = ok and len(span_vectors(stripped, g.r + 1, RATIONALS)) == len(stripped)
     finish(announce, 6, "three-route equivalence on a random corpus", ok,
@@ -234,7 +235,7 @@ def test_07_exceptional_quartic_interpolation_families(announce):
                 wf_dimension_approx([(embed_to_approx(root, bits), mult)
                                      for root, mult in member.roots], bits)
                 for bits in precisions)
-            problem = to_z_problem(member)
+            problem = to_z_problem(g)
             drops = [z_report(drop_node(problem, i)).dimension
                      for i in range(problem.s)]
             adjoined_drop = drops[problem.omega.index(adjoined)]

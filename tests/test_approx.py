@@ -16,7 +16,7 @@ from wfdim import Field, classify
 from wfdim.approx import (approx_rank, certified_family_dimension,
                           cubic_roots_approx, embed_to_approx,
                           wf_dimension_approx, z_dimension_approx)
-from wfdim.bridge import to_z_problem
+from wfdim.bridge import group_roots, to_z_problem
 from wfdim.classify import exceptional_cubics
 from wfdim.corpus import random_factored_input
 from wfdim.zspace import z_report
@@ -54,7 +54,7 @@ def test_interpolation_backend_agrees_with_the_exact_reports():
         fi = random_factored_input(rng, RATIONALS, max_degree=7)
         if all(mult > 1 for _, mult in fi.roots):
             continue
-        problem = to_z_problem(fi)
+        problem = to_z_problem(group_roots(fi))
         eta = [embed_to_approx(e) for e in problem.eta]
         omega = [embed_to_approx(w) for w in problem.omega]
         assert z_dimension_approx(eta, omega, problem.k) == z_report(problem).dimension

@@ -6,10 +6,10 @@ import random
 
 import pytest
 
+from reduction_helpers import multiplicity_reduction_check, strip_multiple_part
 from wfdim import DegreeTooSmallError, Field, NoSimpleRootsError, PoleError, Poly
 from wfdim.bridge import (attach_multiple_part, d_at, delta_vector, group_roots,
-                          multiple_part, multiplicity_reduction_check,
-                          strip_multiple_part, structural_kernel, to_z_problem)
+                          structural_kernel, to_z_problem)
 from wfdim.corpus import random_factored_input
 from wfdim.errors import NotDivisibleError
 from wfdim.linalg import canonical_rows
@@ -43,8 +43,7 @@ def test_grouping_rejects_low_degree():
 
 
 def test_simple_and_multiple_parts_factor_the_input():
-    fi = factored([(0, 4), (1, 1), (2, 2)])
-    multiple = multiple_part(fi)
+    multiple = group_roots(factored([(0, 4), (1, 1), (2, 2)])).multiple_part
     expected_multiple = (Poly.from_roots(RATIONALS, [RATIONALS.scalar(2)])
                          * Poly.from_roots(RATIONALS, [RATIONALS.scalar(0)]) ** 2)
     assert multiple == expected_multiple
@@ -54,25 +53,25 @@ def test_simple_and_multiple_parts_factor_the_input():
 
 
 def test_node_datum_on_a_hand_example():
-    fi = factored([(0, 4), (1, 1)])
-    assert d_at(fi, RATIONALS.scalar(1)) == RATIONALS.scalar(6)
-    assert delta_vector(fi) == (RATIONALS.scalar(6),)
+    g = group_roots(factored([(0, 4), (1, 1)]))
+    assert d_at(g, RATIONALS.scalar(1)) == RATIONALS.scalar(6)
+    assert delta_vector(g) == (RATIONALS.scalar(6),)
 
 
 def test_node_datum_sums_over_the_other_roots():
-    fi = factored([(0, 4), (1, 1), (2, 2), (3, 1)])
+    g = group_roots(factored([(0, 4), (1, 1), (2, 2), (3, 1)]))
     expected = (RATIONALS.scalar(2) / RATIONALS.scalar(1 - 3)
                 + RATIONALS.scalar(3) / RATIONALS.scalar(1 - 2)
                 + RATIONALS.scalar(6) / RATIONALS.scalar(1 - 0))
-    assert d_at(fi, RATIONALS.scalar(1)) == expected
+    assert d_at(g, RATIONALS.scalar(1)) == expected
 
 
 def test_node_datum_has_poles_at_multiple_roots():
-    fi = factored([(0, 4), (1, 1)])
+    g = group_roots(factored([(0, 4), (1, 1)]))
     with pytest.raises(PoleError):
-        d_at(fi, RATIONALS.scalar(0))
+        d_at(g, RATIONALS.scalar(0))
     with pytest.raises(ValueError):
-        d_at(fi, RATIONALS.scalar(7))
+        d_at(g, RATIONALS.scalar(7))
 
 
 # -- stripping and attaching the fixed factor ------------------------------------------
@@ -81,45 +80,45 @@ def test_node_datum_has_poles_at_multiple_roots():
 def test_kernel_members_strip_and_reattach():
     rng = random.Random("bridge-strip")
     for _ in range(20):
-        fi = random_factored_input(rng, RATIONALS, max_degree=8)
-        for p in wf_kernel(fi.expand()).basis:
-            cofactor = strip_multiple_part(fi, p)
-            assert attach_multiple_part(fi, cofactor) == p
-            assert multiplicity_reduction_check(fi, p)
+        g = group_roots(random_factored_input(rng, RATIONALS, max_degree=8))
+        for p in wf_kernel(g.f).basis:
+            cofactor = strip_multiple_part(g, p)
+            assert attach_multiple_part(g, cofactor) == p
+            assert multiplicity_reduction_check(g, p)
 
 
 def test_stripping_rejects_non_members():
-    fi = factored([(0, 4), (1, 1)])
+    g = group_roots(factored([(0, 4), (1, 1)]))
     with pytest.raises(NotDivisibleError):
-        strip_multiple_part(fi, Poly(RATIONALS, (1, 1)))
+        strip_multiple_part(g, Poly(RATIONALS, (1, 1)))
 
 
 # -- the interpolation problem ----------------------------------------------------------
 
 
 def test_problem_carries_the_node_data_and_cap():
-    fi = factored([(0, 4), (1, 1)])
-    z = to_z_problem(fi)
+    g = group_roots(factored([(0, 4), (1, 1)]))
+    z = to_z_problem(g)
     assert z.omega == (RATIONALS.scalar(1),)
     assert z.eta == (RATIONALS.scalar(6),)
-    assert z.k == group_roots(fi).r
+    assert z.k == g.r
 
 
 def test_problem_requires_a_simple_root():
     with pytest.raises(NoSimpleRootsError):
-        to_z_problem(factored([(0, 5)]))
+        to_z_problem(group_roots(factored([(0, 5)])))
 
 
 def test_stripped_kernel_members_solve_the_interpolation_problem():
     rng = random.Random("bridge-members")
     seen_nonzero = 0
     for _ in range(25):
-        fi = random_factored_input(rng, RATIONALS, max_degree=8)
-        if group_roots(fi).n1 == 0:
+        g = group_roots(random_factored_input(rng, RATIONALS, max_degree=8))
+        if g.n1 == 0:
             continue
-        z = to_z_problem(fi)
-        for p in wf_kernel(fi.expand()).basis:
-            assert z_contains(z, strip_multiple_part(fi, p))
+        z = to_z_problem(g)
+        for p in wf_kernel(g.f).basis:
+            assert z_contains(z, strip_multiple_part(g, p))
             seen_nonzero += 1
     assert seen_nonzero > 0
 
@@ -128,7 +127,7 @@ def test_structural_route_agrees_with_the_brute_force_kernel():
     rng = random.Random("bridge-structural")
     for _ in range(30):
         fi = random_factored_input(rng, RATIONALS, max_degree=9)
-        dim, basis = structural_kernel(fi)
+        dim, basis = structural_kernel(group_roots(fi))
         oracle = wf_kernel(fi.expand())
         assert dim == oracle.dimension
         ncols = fi.degree - 1

@@ -78,7 +78,7 @@ def test_quartic_simple_root_case_uses_the_minimum_drop_rule():
         if g.n1 != 4 or g.r != 4:
             continue
         seen += 1
-        assert classify(fi).dimension == min_drop_dimension(to_z_problem(fi))
+        assert classify(fi).dimension == min_drop_dimension(to_z_problem(g))
     assert seen > 0
 
 
@@ -257,7 +257,7 @@ def test_pair_form_matches_the_two_node_determinant():
             field=RATIONALS,
             roots=multiple_only.roots + ((t1, 1), (t2, 1)),
             leading=RATIONALS.one())
-        problem = to_z_problem(with_pair)
+        problem = to_z_problem(group_roots(with_pair))
         truncated = type(problem)(eta=problem.eta, omega=problem.omega, k=1)
         from wfdim.linalg import determinant
 
@@ -359,7 +359,7 @@ def test_singular_dropped_problems_do_not_inflate_the_dimension():
     extended = FactoredInput(field=base.field,
                              roots=base.roots + ((base.field.scalar(2), 1),),
                              leading=base.field.one())
-    problem = to_z_problem(extended)
+    problem = to_z_problem(group_roots(extended))
     dropped_dims = [z_report(drop_node(problem, i)).dimension
                     for i in range(problem.s)]
     assert max(dropped_dims) == 1

@@ -129,7 +129,7 @@ def test_failing_suite_exits_one(monkeypatch):
     assert "FAILED" in out
 
 
-def test_unknown_suite_name_exits_two():
+def test_nonpositive_count_exits_two():
     code, _ = run_main(["verify", "--suite", "cli", "--count", "-3"])
     assert code == 2
 
@@ -197,6 +197,22 @@ def test_scalar_tokens_parse_signs_and_fractions():
     assert cli.parse_scalar_token(rationals, "-7/3") == rationals.scalar("-7/3")
     root5 = cli.Field.quadratic(5)
     assert cli.parse_scalar_token(root5, "s") == root5.sqrt_generator()
+
+
+# -- bounded input ------------------------------------------------------------------
+
+
+def test_an_18_digit_quadratic_d_exits_two_at_once(spec_file):
+    # Squarefreeness is tested by trial division: about 10^9 steps at this d.
+    huge = 1000000000000000003
+    spec = spec_file({"field": {"kind": "quadratic", "d": huge},
+                      "roots": [[["rat", "0", "1"], 5]]})
+    zdim = ["zdim", "--eta", "s", "--omega", "1", "-k", "1", "--d", str(huge)]
+    for args in (["dim", spec], zdim):
+        run = subprocess.run([sys.executable, "-m", "wfdim.cli", *args],
+                             capture_output=True, text=True, timeout=10)
+        assert run.returncode == 2, run.stderr
+        assert "|d| must be below 10^12" in run.stderr
 
 
 # -- the installed entry point ----------------------------------------------------------

@@ -134,6 +134,33 @@ def test_named_shapes_match_the_gauss_jordan_reference(field):
         assert rref(m) == reference_rref.rref(m), name
 
 
+@st.composite
+def square_matrices(draw):
+    """A square matrix over one of FIELDS, of size 1 to 6.  Some have a zero
+    leading entry above a nonzero one, so the elimination swaps rows; some
+    repeat a row, so they are singular."""
+    field = draw(st.sampled_from(FIELDS))
+
+    def scalar():
+        b = Fraction(0) if field.is_rational else draw(entry_parts)
+        return field.scalar(draw(entry_parts), b)
+
+    size = draw(st.integers(1, 6))
+    rows = [[scalar() for _ in range(size)] for _ in range(size)]
+    if size > 1 and draw(st.booleans()):
+        rows[0][0], rows[1][0] = field.zero(), field.scalar(draw(st.integers(1, 9)))
+    if size > 1 and draw(st.booleans()):
+        first, second = draw(st.permutations(range(size)))[:2]
+        rows[second] = list(rows[first])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=square_matrices())
+def test_determinant_matches_the_elimination_reference(m):
+    assert determinant(m) == reference_rref.determinant(m)
+
+
 def test_entries_from_two_fields_are_refused():
     with pytest.raises(FieldMismatchError):
         rref([[RATIONALS.one(), RATIONALS.one()], [RATIONALS.one(), ROOT3.one()]])

@@ -2,10 +2,11 @@
 
 ``import wfdim`` and ``import wfdim.cli`` serve the exact routes only, so they
 must not load the floating backend (mpmath); ``wfdim.approx`` loads it on
-demand.  ``import wfdim.cli`` loads no property suites either: ``verify``
-imports them when it runs.  The top level exports what the README, the demos and the benchmark
-read from it; the benchmark's workload builder is read here as a file (it is
-not changed or imported), and every ``wfdim.<name>`` it uses must resolve.
+demand.  Neither ``import wfdim.cli`` nor a command other than ``verify``
+loads the property suites: ``verify`` imports them when it runs.  The top
+level exports what the README, the demos and the benchmark read from it; the
+benchmark's workload builder is read here as a file (it is not changed or
+imported), and every ``wfdim.<name>`` it uses must resolve.
 """
 
 from __future__ import annotations
@@ -65,7 +66,28 @@ def test_verify_still_refuses_an_unknown_suite():
     run = subprocess.run([sys.executable, "-m", "wfdim.cli", "verify", "--suite", "bogus"],
                          capture_output=True, text=True, env=_subprocess_env())
     assert run.returncode == 2
-    assert "invalid choice: 'bogus'" in run.stderr
+    assert "unknown suite name(s): bogus" in run.stderr
+
+
+_COMMANDS_PROBE = """
+import contextlib, io, sys
+from wfdim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["dim", sys.argv[1]]),
+             main(["zdim", "--eta", "s,-s", "--omega", "1,-1", "-k", "3", "--d", "3"])]
+suites = {"wfdim.suites", "wfdim.constructions", "wfdim.corpus"}
+print(codes, " ".join(sorted(suites & set(sys.modules))) or "none")
+"""
+
+
+def test_the_dim_and_zdim_commands_load_no_suites(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"field": {"kind": "rational"}, '
+                    '"roots": [[["rat", "0", "1"], 4], [["rat", "1", "1"], 1]]}')
+    run = subprocess.run([sys.executable, "-c", _COMMANDS_PROBE, str(spec)],
+                         capture_output=True, text=True, env=_subprocess_env())
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[0, 0] none", f"codes and suite modules: {run.stdout}"
 
 
 def test_workload_builder_names_resolve_on_the_package():

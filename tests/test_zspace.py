@@ -6,11 +6,11 @@ import random
 
 import pytest
 
+from reduction_helpers import affine_transport, transport_member
 from wfdim import CoincidentPointsError, Field, Poly
 from wfdim.corpus import random_distinct_scalars, random_scalar, random_z_problem
-from wfdim.zspace import (ZProblem, affine_transport, associated_matrix,
-                          critical_eta, drop_node, min_drop_dimension,
-                          transport_member, z_contains, z_report)
+from wfdim.zspace import (ZProblem, associated_matrix, critical_eta, drop_node,
+                          min_drop_dimension, z_contains, z_report)
 
 RATIONALS = Field.rationals()
 ROOT3 = Field.quadratic(3)
